@@ -15,16 +15,20 @@
  *  2. *Sharded stepping* of one joint simulation (sim/shard.hh): each
  *     shard owns an EventQueue stepped by exactly one worker inside a
  *     conservative lookahead window; workers rendezvous on a barrier at
- *     window edges, where cross-shard mailboxes (SpscRing) are drained
+ *     window edges, where the coordinator drains cross-shard mailboxes
  *     in a fixed order. The shard-worker contract is:
  *
  *       - between barriers, a worker touches only state owned by the
  *         shards assigned to it (components are tagged with a shard
  *         affinity, SimObject::shard());
- *       - cross-shard communication goes through SpscRing mailboxes
- *         posted during a window and drained after the next barrier;
+ *       - cross-shard communication goes through per-link append
+ *         buffers: the posting shard's worker appends during a window,
+ *         and the coordinator alone drains and clears them after the
+ *         join barrier, so posting and draining never overlap and the
+ *         buffers need no locks, no capacity and no overflow check;
  *       - the barrier provides the happens-before edge that lets the
- *         coordinator read every shard's queue state race-free.
+ *         coordinator read every shard's queue state and mailbox
+ *         race-free.
  *
  * Both substrates share the same ThreadPool, so a process never needs
  * more than one set of worker threads. Event delivery order inside a
@@ -269,79 +273,6 @@ class SpinBarrier
     std::atomic<std::uint32_t> generation_{0};
     std::mutex mutex_;
     std::condition_variable cv_;
-};
-
-/**
- * Bounded single-producer/single-consumer ring buffer.
- *
- * Lock-free: the producer writes `tail`, the consumer writes `head`,
- * and each reads the other's index with acquire/release ordering. Used
- * as the cross-shard mailbox: the sending shard's worker is the only
- * producer, and the window-edge coordinator (after the barrier) is the
- * only consumer.
- */
-template <typename T>
-class SpscRing
-{
-  public:
-    /** @param capacity maximum queued items (rounded up to a power of 2). */
-    explicit SpscRing(std::size_t capacity = 1024)
-    {
-        std::size_t cap = 1;
-        while (cap < capacity)
-            cap <<= 1;
-        slots_.resize(cap);
-        mask_ = cap - 1;
-    }
-
-    SpscRing(const SpscRing&) = delete;
-    SpscRing& operator=(const SpscRing&) = delete;
-
-    /** Producer side: enqueue. @return false if the ring is full. */
-    bool
-    push(T&& item)
-    {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        const std::size_t head = head_.load(std::memory_order_acquire);
-        if (tail - head > mask_)
-            return false; // full
-        slots_[tail & mask_] = std::move(item);
-        tail_.store(tail + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Consumer side: dequeue into @p out. @return false if empty. */
-    bool
-    pop(T& out)
-    {
-        const std::size_t head = head_.load(std::memory_order_relaxed);
-        const std::size_t tail = tail_.load(std::memory_order_acquire);
-        if (head == tail)
-            return false; // empty
-        out = std::move(slots_[head & mask_]);
-        head_.store(head + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Items currently queued (exact only when producer/consumer idle). */
-    std::size_t
-    size() const
-    {
-        return tail_.load(std::memory_order_acquire) -
-               head_.load(std::memory_order_acquire);
-    }
-
-    /** True if no items are queued. */
-    bool empty() const { return size() == 0; }
-
-    /** Capacity after power-of-two rounding. */
-    std::size_t capacity() const { return mask_ + 1; }
-
-  private:
-    std::vector<T> slots_;
-    std::size_t mask_ = 0;
-    std::atomic<std::size_t> head_{0};
-    std::atomic<std::size_t> tail_{0};
 };
 
 /** Host hardware concurrency, clamped to at least one. */

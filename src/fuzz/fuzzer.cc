@@ -74,8 +74,6 @@ systemToken(SystemKind kind)
     return "unknown";
 }
 
-namespace {
-
 bool
 systemFromToken(const std::string& tok, SystemKind& out)
 {
@@ -87,8 +85,6 @@ systemFromToken(const std::string& tok, SystemKind& out)
     }
     return false;
 }
-
-} // namespace
 
 std::string
 formatRepro(const FuzzCase& c)

@@ -152,6 +152,8 @@ bool parseRepro(const std::string& repro, FuzzCase& out);
 
 /** Short system name used in repro strings ("thynvm", "journal", ...). */
 const char* systemToken(SystemKind kind);
+/** Parse a systemToken() name into @p out. @return false if unknown. */
+bool systemFromToken(const std::string& tok, SystemKind& out);
 
 /**
  * Simulation sizing shared by every case of a campaign. Small enough

@@ -25,14 +25,6 @@ namespace thynvm {
 namespace {
 
 /**
- * Mailbox bound for core<->channel links: one kernel window can carry
- * a whole cache-flush wave of writebacks (every dirty block of a 2 MB
- * L3 plus the upper levels), so size from the cache capacity with
- * ample slack rather than the kernel default.
- */
-constexpr std::size_t kLinkCapacity = std::size_t{1} << 16;
-
-/**
  * Global ThyNVM table sizes scaled down to one channel's share. Each
  * channel serves 1/C of the physical space, so it gets 1/C of the
  * translation-table, overflow, and back-pressure budget (rounded up).
@@ -583,10 +575,8 @@ ChannelGroup::registerShards(ShardedKernel& kernel, unsigned core_shard,
                        eq->now() < limit;
             });
         ch->ctrl->setShard(ch->shard);
-        kernel.link(core_shard, ch->shard, kChannelLookahead,
-                    kLinkCapacity);
-        kernel.link(ch->shard, core_shard, kChannelLookahead,
-                    kLinkCapacity);
+        kernel.link(core_shard, ch->shard, kChannelLookahead);
+        kernel.link(ch->shard, core_shard, kChannelLookahead);
     }
 }
 

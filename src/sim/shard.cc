@@ -103,8 +103,7 @@ ShardedKernel::rebuildLinkIndex()
 }
 
 void
-ShardedKernel::link(unsigned from, unsigned to, Tick lookahead,
-                    std::size_t capacity)
+ShardedKernel::link(unsigned from, unsigned to, Tick lookahead)
 {
     panic_if(from >= shards_.size() || to >= shards_.size(),
              "link endpoint out of range");
@@ -115,7 +114,6 @@ ShardedKernel::link(unsigned from, unsigned to, Tick lookahead,
     l.from = from;
     l.to = to;
     l.lookahead = lookahead;
-    l.mailbox = std::make_unique<SpscRing<Message>>(capacity);
     links_.push_back(std::move(l));
     rebuildLinkIndex();
 }
@@ -156,9 +154,7 @@ ShardedKernel::post(unsigned from, unsigned to, Tick when,
     m.key = EventQueue::kMessageOrderBit |
             (static_cast<std::uint64_t>(lid) << 40) | l.fifo++;
     m.fn = std::move(fn);
-    panic_if(!l.mailbox->push(std::move(m)),
-             "mailbox %u->%u overflow (capacity %zu)", from, to,
-             l.mailbox->capacity());
+    l.mailbox.push_back(std::move(m));
 
     if (!l.dirty) {
         l.dirty = true;
@@ -347,8 +343,7 @@ ShardedKernel::drainPosted()
             Link& l = links_[lid];
             l.dirty = false;
             Shard& target = shards_[l.to];
-            Message m;
-            while (l.mailbox->pop(m)) {
+            for (Message& m : l.mailbox) {
                 target.eq->scheduleMessage(m.when, m.key, std::move(m.fn));
                 target.runnable = true;
                 if (!eot_ && m.when < credited_[l.to]) {
@@ -363,6 +358,7 @@ ShardedKernel::drainPosted()
                 }
                 ++messages_;
             }
+            l.mailbox.clear();
         }
         s.posted.clear();
     }

@@ -13,12 +13,14 @@
  *  - Each shard is granted a private window [now, W): it may execute
  *    events with tick strictly below W with no synchronization at all,
  *    because the kernel proves no other shard can send it a message
- *    landing below W. Cross-shard traffic is posted into bounded SPSC
- *    mailboxes, one per declared (from, to) link, each link carrying a
+ *    landing below W. Cross-shard traffic is appended to a per-link
+ *    buffer, one per declared (from, to) link, each link carrying a
  *    conservative *lookahead* — the smallest simulated latency any
  *    message over it can have. At the window edge the workers
- *    rendezvous on a barrier and the coordinator drains the posted
- *    mailboxes into the target queues.
+ *    rendezvous on a barrier and the coordinator, alone, moves the
+ *    posted buffers into the target queues. Posting and draining never
+ *    overlap, so a buffer needs no synchronization of its own, has no
+ *    capacity and cannot overflow.
  *
  *  - Window bounds come from *earliest output times* (EOT): a shard
  *    that could execute reports next-event-tick + its minimum outbound
@@ -65,7 +67,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,15 +142,10 @@ class ShardedKernel
      * message posted from @p from to @p to must be delivered at least
      * @p lookahead ticks after the tick it was posted at. Declaring
      * the same (from, to) pair twice panics here, at declaration time.
-     *
-     * @param capacity mailbox bound (messages posted but not yet
-     *        drained). Must cover the worst same-window burst: a
-     *        core-to-channel link sees a whole cache-flush wave of
-     *        writebacks in one window, so channel links are sized from
-     *        the cache capacity rather than the default.
+     * The link's mailbox is an append buffer that grows with the
+     * window's traffic and is emptied at every window edge.
      */
-    void link(unsigned from, unsigned to, Tick lookahead,
-              std::size_t capacity = 4096);
+    void link(unsigned from, unsigned to, Tick lookahead);
 
     /**
      * Clamp window edges to multiples of @p period (0 disables).
@@ -226,7 +222,10 @@ class ShardedKernel
         unsigned from = 0;
         unsigned to = 0;
         Tick lookahead = 0;
-        std::unique_ptr<SpscRing<Message>> mailbox;
+        /** Messages posted this round, in post order. Appended to only
+         *  by the worker stepping `from`; drained and cleared by the
+         *  coordinator after the join barrier. */
+        std::vector<Message> mailbox;
         /** Per-link FIFO counter feeding message order keys. Written
          *  by the producer (the worker stepping `from`). */
         std::uint64_t fifo = 0;

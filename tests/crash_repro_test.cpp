@@ -60,6 +60,21 @@ TEST(CrashRepro, MalformedStringsAreRejected)
     EXPECT_FALSE(parseRepro("garbage without any separators", out));
 }
 
+/** Every kind's repro/CLI token parses back to that kind. */
+TEST(CrashRepro, EverySystemTokenParsesBackToItsKind)
+{
+    for (SystemKind kind : kAllSystemKinds) {
+        SystemKind back = kind == SystemKind::ThyNvm ? SystemKind::Journal
+                                                     : SystemKind::ThyNvm;
+        ASSERT_TRUE(systemFromToken(systemToken(kind), back))
+            << systemKindName(kind);
+        EXPECT_EQ(back, kind) << systemToken(kind);
+    }
+    SystemKind out = SystemKind::ThyNvm;
+    EXPECT_FALSE(systemFromToken("nosuch", out));
+    EXPECT_FALSE(systemFromToken("", out));
+}
+
 /** Replaying the same case twice is bit-identical, end to end. */
 TEST(CrashRepro, ReplayIsDeterministic)
 {

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "fuzz/fuzzer.hh"
 #include "harness/system.hh"
 #include "workloads/kvstore.hh"
 #include "workloads/micro.hh"
@@ -46,10 +47,14 @@ struct Options
 void
 usage()
 {
+    std::printf("usage: thynvm_sim [options]\n  --system=KIND      ");
+    const char* sep = "";
+    for (SystemKind k : kAllSystemKinds) {
+        std::printf("%s%s", sep, fuzz::systemToken(k));
+        sep = " | ";
+    }
     std::printf(
-        "usage: thynvm_sim [options]\n"
-        "  --system=KIND      thynvm | journal | shadow | ideal-dram |\n"
-        "                     ideal-nvm (default thynvm)\n"
+        "\n                     (default thynvm)\n"
         "  --workload=NAME    random | streaming | sliding | kv-hash |\n"
         "                     kv-rbtree | spec:<bench> (default sliding)\n"
         "  --accesses=N       micro-benchmark memory accesses\n"
@@ -91,17 +96,10 @@ parseFlag(const char* arg, const char* name, std::uint64_t* out)
 SystemKind
 systemKindOf(const std::string& s)
 {
-    if (s == "thynvm")
-        return SystemKind::ThyNvm;
-    if (s == "journal")
-        return SystemKind::Journal;
-    if (s == "shadow")
-        return SystemKind::Shadow;
-    if (s == "ideal-dram")
-        return SystemKind::IdealDram;
-    if (s == "ideal-nvm")
-        return SystemKind::IdealNvm;
-    fatal("unknown system '%s'", s.c_str());
+    SystemKind kind = SystemKind::ThyNvm;
+    if (!fuzz::systemFromToken(s, kind))
+        fatal("unknown system '%s'", s.c_str());
+    return kind;
 }
 
 std::unique_ptr<Workload>
@@ -278,8 +276,8 @@ main(int argc, char** argv)
         }
         if (opt.dump_stats)
             dumpStats(*sys);
-    } catch (const FatalError& e) {
-        std::fprintf(stderr, "%s\n", e.what());
+    } catch (const FatalError&) {
+        // fatal() has already printed the message.
         return 1;
     }
     return 0;
