@@ -17,9 +17,16 @@
  * is what lets crash/recovery shapes run under the equivalence suite.
  *
  * The registry is deliberately passive: firing never crashes anything
- * by itself. The driver polls fired(), drains every event up to
- * crashTick(), and then calls System::crash(), so the power failure
- * always lands on a tick boundary.
+ * by itself, and arming it changes no simulated behavior. A plan's
+ * crash tick is therefore known from an unarmed run too: the planned
+ * hit's tick (SiteStats::first_tick for hit 1, last_tick for the last
+ * hit) plus the delta. For a single-channel System the fuzzer polls
+ * fired() while it steps, drains every event up to crashTick(), and
+ * then calls System::crash(). A multi-channel System runs on the sharded kernel,
+ * which cannot be stepped against a poll, so the fuzzer runs it to a
+ * crash tick known in advance: a campaign reads it from its site
+ * enumeration, and a bare repro learns it from an armed profile run.
+ * Either way the power failure lands on a tick boundary.
  *
  * Header-only and dependency-free (below the mem layer) so that
  * MemController can include it; the fuzz driver library proper lives

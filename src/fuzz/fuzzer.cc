@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -245,10 +246,37 @@ firstMismatch(const std::vector<std::uint8_t>& a,
     return static_cast<std::size_t>(-1);
 }
 
-} // namespace
+/**
+ * Crash tick of @p c's armed plan, learned from a full armed profile
+ * run of an identical System; nullopt if the plan never fires.
+ */
+std::optional<Tick>
+profileCut(const FuzzerConfig& fc, const FuzzCase& c)
+{
+    CrashPointRegistry reg;
+    reg.arm(c.site, c.hit, c.delta);
+    MicroWorkload inner(microParams(fc, c.seed, c.workload));
+    RecordingWorkload wl(inner);
+    SystemConfig cfg = makeSystemConfig(fc, c.system, c.fast_path,
+                                        c.channels);
+    cfg.crash_points = &reg;
+    System sys(cfg, wl);
+    sys.start();
+    sys.run(fc.run_limit);
+    if (!reg.fired())
+        return std::nullopt;
+    return reg.crashTick();
+}
 
+/**
+ * One crash case. @p planned_cut is the multi-channel crash tick when
+ * the caller already knows it (a campaign, from its site enumeration);
+ * without it the tick comes from profileCut(). Single-channel cases
+ * ignore it and poll the armed registry instead.
+ */
 CaseResult
-runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
+runCase(const FuzzerConfig& fc, const FuzzCase& c,
+        std::optional<Tick> planned_cut)
 {
     CaseResult res;
     res.repro = formatRepro(c);
@@ -290,31 +318,18 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
         nvm = sys.crash();
     } else {
         // A multi-channel run executes on the sharded kernel, which
-        // cannot be single-stepped against a fired() poll. Instead:
-        // profile an identical armed run to completion to learn the
-        // crash tick, then replay a fresh machine (the oracle's life 1)
-        // deterministically up to exactly that tick.
-        Tick cut;
-        {
-            CrashPointRegistry preg;
-            preg.arm(c.site, c.hit, c.delta);
-            MicroWorkload pinner(microParams(fc, c.seed, c.workload));
-            RecordingWorkload pwl(pinner);
-            SystemConfig pcfg = makeSystemConfig(fc, c.system,
-                                                 c.fast_path, c.channels);
-            pcfg.crash_points = &preg;
-            System psys(pcfg, pwl);
-            psys.start();
-            psys.run(fc.run_limit);
-            if (!preg.fired() || preg.crashTick() >= fc.run_limit) {
-                res.status = CaseStatus::NotReached;
-                return res;
-            }
-            cut = preg.crashTick();
+        // cannot be single-stepped against a fired() poll. Instead it
+        // takes the crash tick as known in advance and replays a fresh
+        // machine (the oracle's life 1) deterministically up to it.
+        const std::optional<Tick> cut =
+            planned_cut ? planned_cut : profileCut(fc, c);
+        if (!cut || *cut >= fc.run_limit) {
+            res.status = CaseStatus::NotReached;
+            return res;
         }
         sys.start();
         base = captureImage(sys, fc.phys_size);
-        sys.runTo(cut);
+        sys.runTo(*cut);
         res.crash_tick = sys.eventq().now();
         res.commits_before = sys.controller().completedEpochs();
         nvm = sys.crash();
@@ -361,7 +376,7 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     }
 
     // Check A: recovered image == golden image of the restored epoch.
-    std::vector<std::uint8_t> golden = base;
+    std::vector<std::uint8_t> golden = std::move(base);
     applyStores(golden, wl1.stores(), restored);
     res.recovered_image = captureImage(sys2, fc.phys_size);
     if (res.recovered_image != golden) {
@@ -399,11 +414,51 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     return res;
 }
 
+} // namespace
+
+CaseResult
+runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
+{
+    return runCase(fc, c, std::nullopt);
+}
+
+std::uint64_t
+imageDigest(const std::vector<std::uint8_t>& image)
+{
+    // FNV-1a steps over 64-bit words, then the tail bytes: an eighth of
+    // the multiplies of the bytewise hash, and each step is still a
+    // bijection of the state, so any single-word change shows.
+    constexpr std::uint64_t kPrime = 0x100000001b3ull;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const std::size_t words = image.size() / 8;
+    for (std::size_t i = 0; i < words; ++i) {
+        std::uint64_t w;
+        std::memcpy(&w, image.data() + 8 * i, 8);
+        h = (h ^ w) * kPrime;
+    }
+    for (std::size_t i = 8 * words; i < image.size(); ++i)
+        h = (h ^ image[i]) * kPrime;
+    return h;
+}
+
+CaseOutcome
+outcomeOf(const CaseResult& r)
+{
+    CaseOutcome o;
+    o.status = r.status;
+    o.crash_tick = r.crash_tick;
+    o.commits_before = r.commits_before;
+    o.restored_ops = r.restored_ops;
+    o.recovered_digest = imageDigest(r.recovered_image);
+    o.final_digest = imageDigest(r.final_image);
+    return o;
+}
+
 // ---------------------------------------------------------------------
 // Site enumeration and campaigns.
 // ---------------------------------------------------------------------
 
-std::map<std::string, std::uint64_t>
+SiteMap
 enumerateSites(const FuzzerConfig& fc, std::uint64_t seed,
                const std::string& workload, SystemKind kind,
                bool fast_path, unsigned channels)
@@ -416,11 +471,7 @@ enumerateSites(const FuzzerConfig& fc, std::uint64_t seed,
     System sys(cfg, wl);
     sys.start();
     sys.run(fc.run_limit);
-
-    std::map<std::string, std::uint64_t> out;
-    for (const auto& [site, stats] : reg.sites())
-        out.emplace(site, stats.hits);
-    return out;
+    return reg.sites();
 }
 
 CampaignResult
@@ -455,8 +506,7 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
     // Phase 2: profile runs enumerate each combo's crash sites. Every
     // run owns its System outright, so combos fan across threads; the
     // per-combo result is deterministic, so the fan-out is too.
-    std::vector<std::map<std::string, std::uint64_t>> sites(
-        combos.size());
+    std::vector<SiteMap> sites(combos.size());
     parallelFor(
         combos.size(),
         [&](std::size_t i) {
@@ -468,17 +518,23 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
 
     // Phase 3: flatten the crash plan, again in the serial order. The
     // plan — and with it every repro string — is a pure function of
-    // the options, independent of the thread count.
+    // the options, independent of the thread count. Each case's crash
+    // tick comes straight from the enumeration: the combo's run is
+    // deterministic, so an armed replay would fire at the planned hit
+    // at exactly the tick the enumeration recorded for it.
     std::vector<FuzzCase> plan;
+    std::vector<Tick> cuts;
     for (std::size_t i = 0; i < combos.size(); ++i) {
         const Combo& co = combos[i];
         auto& reached = result.sites_by_system[systemToken(co.kind)];
-        for (const auto& [site, hits] : sites[i]) {
+        for (const auto& [site, stats] : sites[i]) {
             reached.insert(site);
-            std::vector<std::uint64_t> hit_plan = {hits};
-            if (opts.first_and_last_hit && hits > 1)
+            std::vector<std::uint64_t> hit_plan = {stats.hits};
+            if (opts.first_and_last_hit && stats.hits > 1)
                 hit_plan.push_back(1);
             for (std::uint64_t hit : hit_plan) {
+                const Tick hit_tick =
+                    hit == stats.hits ? stats.last_tick : stats.first_tick;
                 for (Tick delta : opts.deltas) {
                     FuzzCase c;
                     c.seed = co.seed;
@@ -490,16 +546,26 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
                     c.fast_path = co.fp;
                     c.channels = opts.channels;
                     plan.push_back(std::move(c));
+                    cuts.push_back(hit_tick + delta);
                 }
             }
         }
     }
 
-    // Phase 4: run the crash cases, fanned across threads.
+    // Phase 4: run the crash cases, fanned across threads. Each worker
+    // reduces its case's images to digests at once, so the campaign
+    // never holds more than one case's images per worker.
     std::vector<CaseResult> case_results(plan.size());
+    result.outcomes.resize(plan.size());
     parallelFor(
         plan.size(),
-        [&](std::size_t i) { case_results[i] = runCrashCase(fc, plan[i]); },
+        [&](std::size_t i) {
+            CaseResult r = runCase(fc, plan[i], cuts[i]);
+            result.outcomes[i] = outcomeOf(r);
+            r.recovered_image = std::vector<std::uint8_t>();
+            r.final_image = std::vector<std::uint8_t>();
+            case_results[i] = std::move(r);
+        },
         threads);
 
     // Phase 5: aggregate in plan order, so the summary, the violation
@@ -514,9 +580,6 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
                 *log << "VIOLATION " << r.repro << "\n  " << r.detail
                      << "\n";
             }
-            // Images are only needed by callers replaying a single case.
-            r.recovered_image.clear();
-            r.final_image.clear();
             result.violations.push_back(std::move(r));
         }
     }

@@ -212,18 +212,49 @@ struct CaseResult
     std::vector<std::uint8_t> final_image;
 };
 
-/** Run one crash case end to end against the oracle. */
+/**
+ * Run one crash case end to end against the oracle, replaying it from
+ * its repro alone.
+ *
+ * A single-channel case single-steps life 1 until the armed plan
+ * fires. A multi-channel case runs on the sharded kernel, which cannot
+ * be stepped against a fired() poll, so it first runs an identical
+ * armed profile System to learn the crash tick, then replays life 1 up
+ * to that tick. Campaigns skip that profile run: they already know
+ * every planned case's tick from the site enumeration (runCampaign).
+ */
 CaseResult runCrashCase(const FuzzerConfig& fc, const FuzzCase& c);
+
+/** 64-bit FNV-1a digest of a memory image, taken a word at a time. */
+std::uint64_t imageDigest(const std::vector<std::uint8_t>& image);
+
+/** What a campaign keeps of each case once its images are dropped. */
+struct CaseOutcome
+{
+    CaseStatus status = CaseStatus::Ok;
+    Tick crash_tick = 0;
+    std::uint64_t commits_before = 0;
+    std::uint64_t restored_ops = 0;
+    /** imageDigest() of CaseResult::recovered_image / final_image. */
+    std::uint64_t recovered_digest = 0;
+    std::uint64_t final_digest = 0;
+};
+
+/** The outcome of @p r, with its images reduced to digests. */
+CaseOutcome outcomeOf(const CaseResult& r);
+
+/** Per-site hit statistics of one run, keyed by site name. */
+using SiteMap = std::map<std::string, CrashPointRegistry::SiteStats>;
 
 /**
  * Enumerate every crash site a profile run reaches (no crash), with
- * hit counts. The same seeded run replayed with an armed plan hits the
- * identical sequence.
+ * hit counts and the ticks of the first and last hit. The same seeded
+ * run replayed with an armed plan hits the identical sequence at the
+ * identical ticks.
  */
-std::map<std::string, std::uint64_t>
-enumerateSites(const FuzzerConfig& fc, std::uint64_t seed,
-               const std::string& workload, SystemKind kind,
-               bool fast_path, unsigned channels = 0);
+SiteMap enumerateSites(const FuzzerConfig& fc, std::uint64_t seed,
+                       const std::string& workload, SystemKind kind,
+                       bool fast_path, unsigned channels = 0);
 
 /** Which cases a campaign covers. */
 struct CampaignOptions
@@ -263,13 +294,20 @@ struct CampaignResult
      * host thread counts — pinned by crash_repro_test.
      */
     std::vector<std::string> repros;
+    /**
+     * Outcome of every planned case, in plan order (parallel to
+     * repros). Invariant across host and simulation thread counts.
+     */
+    std::vector<CaseOutcome> outcomes;
 };
 
 /**
  * Run a full campaign: enumerate sites per (seed, workload, system,
- * mode), then crash at each planned (site, hit, delta). Violations are
- * printed to @p log (if non-null) in plan order, one repro string per
- * line.
+ * mode), then crash at each planned (site, hit, delta). A planned case
+ * crashes at tick (first or last hit's tick) + delta, read from the
+ * enumeration of its combo, so no case repeats the profile run that
+ * runCrashCase() needs for a bare repro. Violations are printed to
+ * @p log (if non-null) in plan order, one repro string per line.
  *
  * @param threads fan cases across this many host workers (each case
  *        owns its Systems outright). The campaign result — counts,

@@ -401,9 +401,9 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
     // its last hit. The ideal kinds announce no sites (no checkpoint
     // machinery) and get one mid-run crash instead.
     std::vector<std::pair<std::string, std::uint64_t>> plans;
-    for (const auto& [site, hits] :
+    for (const auto& [site, stats] :
          enumerateSites(fc, seed, "rand", kind, true, 1)) {
-        plans.emplace_back(site, hits);
+        plans.emplace_back(site, stats.hits);
     }
     if (isCheckpointingKind(kind)) {
         ASSERT_GE(plans.size(), 5u)

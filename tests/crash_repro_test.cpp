@@ -11,10 +11,10 @@
 
 #include "tests/test_util.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
+#include "common/parallel.hh"
 #include "fuzz/fuzzer.hh"
 
 namespace thynvm {
@@ -169,6 +169,21 @@ TEST(CrashRepro, InjectedReproReplaysDeterministically)
     EXPECT_EQ(ok.status, CaseStatus::Ok) << ok.detail;
 }
 
+/** Field-by-field comparison of two case outcomes. */
+void
+expectSameOutcome(const CaseOutcome& got, const CaseOutcome& want,
+                  const std::string& what)
+{
+    EXPECT_EQ(got.status, want.status) << what;
+    EXPECT_EQ(got.crash_tick, want.crash_tick) << what;
+    EXPECT_EQ(got.commits_before, want.commits_before) << what;
+    EXPECT_EQ(got.restored_ops, want.restored_ops) << what;
+    EXPECT_EQ(got.recovered_digest, want.recovered_digest)
+        << what << ": recovered image differs";
+    EXPECT_EQ(got.final_digest, want.final_digest)
+        << what << ": final image differs";
+}
+
 void
 expectSameCampaign(const CampaignResult& a, const CampaignResult& b,
                    const char* what)
@@ -182,6 +197,13 @@ expectSameCampaign(const CampaignResult& a, const CampaignResult& b,
         EXPECT_EQ(b.violations[i].repro, a.violations[i].repro) << what;
         EXPECT_EQ(b.violations[i].detail, a.violations[i].detail)
             << what;
+    }
+    // Every case's crash tick, oracle inputs and recovery images.
+    ASSERT_EQ(a.outcomes.size(), a.cases) << what;
+    ASSERT_EQ(b.outcomes.size(), a.outcomes.size()) << what;
+    for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+        expectSameOutcome(b.outcomes[i], a.outcomes[i],
+                          std::string(what) + " " + a.repros[i]);
     }
 }
 
@@ -212,30 +234,7 @@ TEST(CrashRepro, CampaignIsThreadCountInvariant)
     }
 }
 
-/** Scoped environment override; the previous value is restored on
- *  destruction (so CI legs that set the variable for the whole binary
- *  keep it afterwards). */
-struct EnvGuard
-{
-    EnvGuard(const char* name, const char* value) : name_(name)
-    {
-        if (const char* old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~EnvGuard()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
+using test::EnvGuard;
 
 /**
  * Running the campaign while THYNVM_SIM_THREADS routes every simulated
@@ -288,6 +287,54 @@ TEST(CrashRepro, MultiChannelCampaignInvariantUnderSimThreadsEnv)
         expectSameCampaign(base, narrow,
                            "channels=2 THYNVM_SIM_THREADS=4 "
                            "THYNVM_NO_EOT=1");
+    }
+}
+
+/**
+ * Campaign cases crash at the tick their combo's site enumeration
+ * recorded for the planned hit, plus the delta; a bare repro learns
+ * it from an armed profile run instead. Both must crash at the same
+ * tick and reach the same verdict and images, for first and last hits
+ * and for non-zero deltas, at 2 and 4 channels.
+ */
+TEST(CrashRepro, PlanCutEqualsProfileCut)
+{
+    FuzzerConfig fc;
+    fc.total_accesses = 1500;
+    CampaignOptions opts;
+    opts.workloads = {"rand"};
+    opts.deltas = {0, 1000};
+
+    struct Topology
+    {
+        unsigned channels;
+        std::vector<SystemKind> systems;
+    };
+    for (const Topology& t :
+         {Topology{2, {SystemKind::ThyNvm, SystemKind::Icl}},
+          Topology{4, {SystemKind::Journal}}}) {
+        opts.channels = t.channels;
+        opts.systems = t.systems;
+        const CampaignResult campaign = runCampaign(fc, opts, nullptr, 2);
+        ASSERT_FALSE(campaign.repros.empty());
+        ASSERT_EQ(campaign.outcomes.size(), campaign.repros.size());
+        EXPECT_TRUE(campaign.violations.empty());
+        EXPECT_EQ(campaign.not_reached, 0u);
+
+        std::vector<FuzzCase> cases(campaign.repros.size());
+        for (std::size_t i = 0; i < cases.size(); ++i)
+            ASSERT_TRUE(parseRepro(campaign.repros[i], cases[i]));
+        std::vector<CaseOutcome> replayed(cases.size());
+        parallelFor(
+            cases.size(),
+            [&](std::size_t i) {
+                replayed[i] = outcomeOf(runCrashCase(fc, cases[i]));
+            },
+            2);
+        for (std::size_t i = 0; i < replayed.size(); ++i) {
+            expectSameOutcome(campaign.outcomes[i], replayed[i],
+                              campaign.repros[i]);
+        }
     }
 }
 

@@ -226,7 +226,7 @@ TEST(DenseEquivalence, CrashRecoveryImagesByteIdentical)
             continue;
         // Find a site this system actually reaches, then crash at its
         // last hit — same recipe the campaign planner uses.
-        std::map<std::string, std::uint64_t> sites;
+        SiteMap sites;
         {
             test::EnvGuard off("THYNVM_DENSE_STORE", nullptr);
             sites = enumerateSites(fc, 1, "rand", kind, true);
@@ -237,7 +237,7 @@ TEST(DenseEquivalence, CrashRecoveryImagesByteIdentical)
         c.workload = "rand";
         c.system = kind;
         c.site = sites.begin()->first;
-        c.hit = sites.begin()->second;
+        c.hit = sites.begin()->second.hits;
 
         CaseResult paged;
         {

@@ -139,13 +139,13 @@ expectCrashEquivalent(SystemKind kind, const std::string& workload)
                                             /*fast_path=*/true);
     ASSERT_FALSE(sites.empty()) << systemKindName(kind);
 
-    for (const auto& [site, hits] : sites) {
+    for (const auto& [site, stats] : sites) {
         fuzz::FuzzCase c;
         c.seed = seed;
         c.workload = workload;
         c.system = kind;
         c.site = site;
-        c.hit = hits; // last hit: deepest into the run
+        c.hit = stats.hits; // last hit: deepest into the run
 
         c.fast_path = true;
         const fuzz::CaseResult fast = fuzz::runCrashCase(fc, c);

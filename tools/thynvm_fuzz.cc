@@ -21,6 +21,8 @@
  * THYNVM_CHANNELS environment variable, else 1) runs every simulated
  * System on an N-channel interleaved topology, which adds per-channel
  * (chK.*) and cross-channel barrier (group.*) crash sites to the plan.
+ * --list-sites prints every site a profile run reaches, with its hit
+ * count and the ticks of its first and last hit.
  */
 
 #include <cstdio>
@@ -61,9 +63,14 @@ listSites(const FuzzerConfig& fc, unsigned channels)
                 enumerateSites(fc, 1, wl, kind, true, channels);
             std::printf("%s / %s: %zu sites\n", systemToken(kind), wl,
                         sites.size());
-            for (const auto& [site, hits] : sites) {
-                std::printf("  %-24s %8llu hits\n", site.c_str(),
-                            static_cast<unsigned long long>(hits));
+            for (const auto& [site, stats] : sites) {
+                std::printf("  %-24s %8llu hits  ticks %llu..%llu\n",
+                            site.c_str(),
+                            static_cast<unsigned long long>(stats.hits),
+                            static_cast<unsigned long long>(
+                                stats.first_tick),
+                            static_cast<unsigned long long>(
+                                stats.last_tick));
             }
         }
     }
