@@ -9,12 +9,12 @@
  *     cells one at a time on one host thread and reports kernel events
  *     per host second and host seconds per simulated millisecond.
  *
- *  2. Sharded-kernel thread sweep (--threads t1,t2,...; default
- *     1,2,4,8) — runs the same cell set as one SystemGroup whose
- *     shards are stepped by N worker threads, and cross-checks that
- *     every cell finishes with the identical final tick and event
- *     count as its solo serial run (the determinism contract of
- *     DESIGN.md §8), while measuring wall-clock scaling.
+ *  2. Cell fan-out thread sweep (--threads t1,t2,...; default
+ *     1,2,4,8) — runs the same cell set through the runGrid pool
+ *     (bench_util.hh) on N host threads, the way every figure bench
+ *     fans out, and cross-checks that every cell executes the same
+ *     event count as its serial run, while measuring wall-clock
+ *     scaling.
  *
  *  3. Channel sweep — ONE System (Random/ThyNVM) at 1/2/4 memory
  *     channels, each stepped by 1/2/4 worker threads. Multi-channel
@@ -31,20 +31,19 @@
  *
  * This binary deliberately ignores THYNVM_BENCH_THREADS: host-side
  * fan-out would perturb the per-run timing it exists to measure. The
- * only parallelism here is the sharded kernel under test.
+ * only parallelism here is the thread sweep's explicit worker counts
+ * and the channel sweep's sharded kernel.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "harness/shard_group.hh"
+#include "common/cli.hh"
 
 namespace {
 
@@ -121,7 +120,7 @@ measure(SystemKind kind, MicroWorkload::Pattern pattern)
     return r;
 }
 
-/** One sweep point: the full cell set as a sharded group. */
+/** One sweep point: the full cell set fanned out on a host pool. */
 struct SweepResult
 {
     unsigned threads = 0;
@@ -129,58 +128,50 @@ struct SweepResult
     double host_seconds = 0.0;
     double events_per_sec = 0.0;
     double speedup = 1.0;
-    std::uint64_t windows = 0;
 };
 
 SweepResult
-measureGroup(unsigned threads,
-             const std::vector<SpeedResult>& serial_cells)
+measureGrid(unsigned threads,
+            const std::vector<MicroWorkload::Pattern>& patterns,
+            const std::vector<SpeedResult>& serial_cells)
 {
-    const std::vector<MicroWorkload::Pattern> patterns = {
-        MicroWorkload::Pattern::Random,
-        MicroWorkload::Pattern::Streaming,
-        MicroWorkload::Pattern::Sliding,
-    };
-
-    std::vector<std::unique_ptr<MicroWorkload>> wls;
-    std::vector<std::unique_ptr<System>> systems;
-    SystemGroup group;
+    std::vector<GridCell<std::uint64_t>> cells;
     for (auto pattern : patterns) {
         for (auto kind : allSystems()) {
-            wls.push_back(
-                std::make_unique<MicroWorkload>(cellParams(pattern)));
-            systems.push_back(std::make_unique<System>(
-                paperSystem(kind), *wls.back()));
+            cells.push_back({std::string(patternName(pattern)) + "/" +
+                                 systemKindName(kind),
+                             [pattern, kind] {
+                                 MicroWorkload wl(cellParams(pattern));
+                                 System sys(paperSystem(kind), wl);
+                                 sys.start();
+                                 sys.run(60 * kSecond);
+                                 fatal_if(!sys.finished(),
+                                          "sweep cell did not complete");
+                                 return sys.eventq().eventsExecuted();
+                             }});
         }
     }
 
     const auto t0 = Clock::now();
-    for (auto& sys : systems) {
-        sys->start();
-        group.add(*sys);
-    }
-    group.run(threads, 60 * kSecond);
+    const std::vector<std::uint64_t> events =
+        runGrid("fig7 micro cells", cells, threads);
     const double host =
         std::chrono::duration<double>(Clock::now() - t0).count();
 
     SweepResult r;
     r.threads = threads;
     r.host_seconds = host;
-    r.windows = group.windowsExecuted();
-    for (std::size_t i = 0; i < systems.size(); ++i) {
-        fatal_if(!systems[i]->finished(),
-                 "sharded cell did not complete");
-        const std::uint64_t ev = systems[i]->eventq().eventsExecuted();
-        // Determinism contract: every shard replays exactly the serial
-        // event sequence, whatever the worker count.
-        fatal_if(ev != serial_cells[i].events,
-                 "sharded run diverged from serial: cell %s events "
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        // Cells share no simulated state: a cell's event count must
+        // not depend on how many run beside it.
+        fatal_if(events[i] != serial_cells[i].events,
+                 "sweep run diverged from serial: cell %s events "
                  "%llu != %llu",
                  serial_cells[i].label.c_str(),
-                 static_cast<unsigned long long>(ev),
+                 static_cast<unsigned long long>(events[i]),
                  static_cast<unsigned long long>(
                      serial_cells[i].events));
-        r.events += ev;
+        r.events += events[i];
     }
     r.events_per_sec =
         host > 0.0 ? static_cast<double>(r.events) / host : 0.0;
@@ -249,19 +240,23 @@ measureChannelCell(unsigned channels, unsigned threads)
 int
 main(int argc, char** argv)
 {
-    std::vector<unsigned> sweep_threads = {1, 2, 4, 8};
+    std::vector<std::uint64_t> sweep_threads = {1, 2, 4, 8};
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            sweep_threads.clear();
-            for (const char* p = argv[++i]; *p != '\0';) {
-                char* end = nullptr;
-                sweep_threads.push_back(static_cast<unsigned>(
-                    std::strtoul(p, &end, 10)));
-                p = (*end == ',') ? end + 1 : end;
+        bool ok = std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc;
+        if (ok) {
+            try {
+                sweep_threads = parseUintList(argv[++i], "--threads");
+                for (std::uint64_t t : sweep_threads)
+                    ok = ok && t >= 1 && t <= 1024;
+            } catch (const FatalError&) {
+                ok = false; // fatal() printed the reason
             }
-        } else {
+        }
+        if (!ok) {
             std::fprintf(stderr,
-                         "usage: %s [--threads t1,t2,...]\n", argv[0]);
+                         "usage: %s [--threads t1,t2,...]  "
+                         "(each 1..1024)\n",
+                         argv[0]);
             return 2;
         }
     }
@@ -305,22 +300,23 @@ main(int argc, char** argv)
                 agg_eps, agg_spms);
 
     const unsigned host_threads = std::thread::hardware_concurrency();
-    heading("Sharded kernel: same cells as one group, worker sweep");
+    heading("Cell fan-out: same cells on the runGrid pool, thread sweep");
     std::printf("host hardware threads: %u\n\n", host_threads);
-    std::printf("%-8s %14s %10s %14s %10s %10s\n", "threads", "events",
-                "host_s", "events/s", "speedup", "windows");
 
     std::vector<SweepResult> sweep;
-    for (unsigned threads : sweep_threads) {
-        SweepResult s = measureGroup(threads, results);
+    for (std::uint64_t threads : sweep_threads) {
+        SweepResult s = measureGrid(static_cast<unsigned>(threads),
+                                    patterns, results);
         if (!sweep.empty() && sweep.front().host_seconds > 0.0)
             s.speedup = sweep.front().host_seconds / s.host_seconds;
-        std::printf("%-8u %14llu %10.2f %14.0f %9.2fx %10llu\n",
-                    s.threads,
-                    static_cast<unsigned long long>(s.events),
-                    s.host_seconds, s.events_per_sec, s.speedup,
-                    static_cast<unsigned long long>(s.windows));
         sweep.push_back(s);
+    }
+    std::printf("\n%-8s %14s %10s %14s %10s\n", "threads", "events",
+                "host_s", "events/s", "speedup");
+    for (const SweepResult& s : sweep) {
+        std::printf("%-8u %14llu %10.2f %14.0f %9.2fx\n", s.threads,
+                    static_cast<unsigned long long>(s.events),
+                    s.host_seconds, s.events_per_sec, s.speedup);
     }
 
     heading("Channel sweep: one Random/ThyNVM System, "
@@ -385,11 +381,10 @@ main(int argc, char** argv)
         std::fprintf(f,
                      "    {\"threads\": %u, \"events\": %llu, "
                      "\"host_seconds\": %.3f, \"events_per_sec\": "
-                     "%.0f, \"speedup\": %.3f, \"windows\": %llu}%s\n",
+                     "%.0f, \"speedup\": %.3f}%s\n",
                      s.threads,
                      static_cast<unsigned long long>(s.events),
                      s.host_seconds, s.events_per_sec, s.speedup,
-                     static_cast<unsigned long long>(s.windows),
                      i + 1 == sweep.size() ? "" : ",");
     }
     std::fprintf(f, "  ],\n");

@@ -19,8 +19,8 @@
  *     in a fixed order. The shard-worker contract is:
  *
  *       - between barriers, a worker touches only state owned by the
- *         shards assigned to it (components are tagged with a shard
- *         affinity, SimObject::shard());
+ *         shards assigned to it (a component belongs to the shard
+ *         whose EventQueue it was constructed on);
  *       - cross-shard communication goes through per-link append
  *         buffers: the posting shard's worker appends during a window,
  *         and the coordinator alone drains and clears them after the
@@ -30,10 +30,11 @@
  *         coordinator read every shard's queue state and mailbox
  *         race-free.
  *
- * Both substrates share the same ThreadPool, so a process never needs
- * more than one set of worker threads. Event delivery order inside a
- * shard is independent of worker scheduling, which is what makes
- * simulation results byte-identical for any thread count.
+ * The only joint simulation with more than one shard is a
+ * multi-channel System (one core shard plus one per memory channel);
+ * its kernel starts its own per-run workers. Event delivery order
+ * inside a shard is independent of worker scheduling, which is what
+ * makes simulation results byte-identical for any thread count.
  */
 
 #ifndef THYNVM_COMMON_PARALLEL_HH

@@ -574,7 +574,6 @@ ChannelGroup::registerShards(ShardedKernel& kernel, unsigned core_shard,
                 return !eq->empty() && eq->nextTick() <= cut &&
                        eq->now() < limit;
             });
-        ch->ctrl->setShard(ch->shard);
         kernel.link(core_shard, ch->shard, kChannelLookahead);
         kernel.link(ch->shard, core_shard, kChannelLookahead);
     }

@@ -185,10 +185,6 @@ class ChannelGroup : public MemController
     std::unique_ptr<MemController>
     buildChannel(EventQueue& eq, unsigned i, std::size_t ch_phys,
                  std::shared_ptr<BackingStore> slice);
-    /** Per-channel NVM slice size for the configured kind. */
-    std::size_t channelNvmSize(std::size_t ch_phys) const;
-    /** Global config scaled down to one channel's share. */
-    ThyNvmConfig channelThyNvmConfig(std::size_t ch_phys) const;
 
     // Cross-shard message helpers; the delivery tick (sender's now +
     // kChannelLookahead) always clears the target's admission window

@@ -10,7 +10,7 @@
 #include <ostream>
 
 #include "common/parallel.hh"
-#include "harness/shard_group.hh"
+#include "sim/shard.hh"
 
 namespace thynvm {
 
@@ -250,46 +250,13 @@ System::run(Tick duration)
 {
     const Tick limit =
         duration == kMaxTick ? kMaxTick : eq_.now() + duration;
-    const unsigned threads = simThreads();
-    // A multi-channel topology always runs on the sharded kernel (its
-    // channel queues are shards), even with one worker thread — the
-    // kernel's one-worker schedule is the serial reference.
-    if (threads > 1 || group_ != nullptr) {
-        SystemGroup group;
-        group.add(*this);
-        group.run(threads, limit);
-        kernel_windows_ = group.windowsExecuted();
-        kernel_messages_ = group.messagesDelivered();
+    if (group_ != nullptr) {
+        runKernel(limit, kMaxTick);
         return eq_.now();
     }
     while (!cpu_->finished() && eq_.now() < limit && !eq_.empty())
         eq_.step();
     return eq_.now();
-}
-
-unsigned
-System::registerShards(ShardedKernel& kernel, Tick limit)
-{
-    const unsigned core = kernel.addShard(
-        controller_->name(), eq_, [this, limit](ShardWindow win) {
-            const bool more = stepWindow(win, limit);
-            // A finished workload halts the channels so their epoch
-            // timers stop re-arming and the kernel can terminate.
-            if (group_ != nullptr && cpu_->finished())
-                group_->postHalt();
-            return more;
-        });
-    setShard(core);
-    if (group_ != nullptr)
-        group_->registerShards(kernel, core, limit);
-    return core;
-}
-
-void
-System::detachKernel()
-{
-    if (group_ != nullptr)
-        group_->detachKernel();
 }
 
 void
@@ -300,51 +267,40 @@ System::runTo(Tick cut)
             eq_.step();
         return;
     }
-    // Bounded kernel run: every shard executes exactly the events with
-    // tick <= cut that a full run would execute — the deterministic
-    // prefix. The step conditions (including the finished-workload
-    // halt) mirror registerShards() exactly, so the window schedule
-    // and every message-delivery tick agree with the full run up to
-    // the cut.
-    ShardedKernel kernel;
-    const unsigned core = kernel.addShard(
-        controller_->name(), eq_, [this, cut](ShardWindow win) {
-            while (!cpu_->finished() && !eq_.empty() &&
-                   eq_.nextTick() < win.end() && eq_.nextTick() <= cut)
-                eq_.step();
-            if (cpu_->finished())
-                group_->postHalt();
-            return !cpu_->finished() && !eq_.empty() &&
-                   eq_.nextTick() <= cut;
-        });
-    setShard(core);
-    group_->registerShards(kernel, core, kMaxTick, cut);
-    kernel.setBarrierPeriod(cfg_.epoch_length);
-    kernel.run(simThreads());
-    detachKernel();
-}
-
-bool
-System::stepWindow(ShardWindow win, Tick limit)
-{
-    // win.end() is re-read every iteration: posting retreats the live
-    // bound mid-window (sim/shard.hh).
-    while (!cpu_->finished() && eq_.now() < limit && !eq_.empty() &&
-           eq_.nextTick() < win.end())
-        eq_.step();
-    return !cpu_->finished() && eq_.now() < limit && !eq_.empty();
+    runKernel(kMaxTick, cut);
 }
 
 void
-System::setShard(unsigned shard)
+System::runKernel(Tick limit, Tick cut)
 {
-    cpu_->setShard(shard);
-    if (cfg_.use_caches) {
-        l1_->setShard(shard);
-        l2_->setShard(shard);
-        l3_->setShard(shard);
-    }
-    controller_->setShard(shard); // propagates to its devices
+    // Core shard: the serial loop's step condition, bounded by the live
+    // window end (re-read per event: posting retreats it) and by the
+    // cut. A bounded run executes exactly the events with tick <= cut
+    // that the unbounded run would — the same window schedule and
+    // message-delivery ticks up to the cut.
+    const auto more = [this, limit, cut] {
+        return !cpu_->finished() && eq_.now() < limit && !eq_.empty() &&
+               eq_.nextTick() <= cut;
+    };
+    ShardedKernel kernel;
+    const unsigned core = kernel.addShard(
+        controller_->name(), eq_, [this, more](ShardWindow win) {
+            while (more() && eq_.nextTick() < win.end())
+                eq_.step();
+            // A finished workload halts the channels so their epoch
+            // timers stop re-arming and the kernel can terminate.
+            if (cpu_->finished())
+                group_->postHalt();
+            return more();
+        });
+    group_->registerShards(kernel, core, limit, cut);
+    // Checkpoint-epoch boundaries are global barriers: no shard starts
+    // epoch k+1 before every shard has finished epoch k.
+    kernel.setBarrierPeriod(cfg_.epoch_length);
+    kernel.run(simThreads());
+    group_->detachKernel();
+    kernel_windows_ = kernel.windowsExecuted();
+    kernel_messages_ = kernel.messagesDelivered();
 }
 
 unsigned

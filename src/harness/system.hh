@@ -8,6 +8,11 @@
  * System built around those contents calls recoverAndResume() to roll
  * back to the last checkpoint and continue execution, exactly like a
  * machine rebooting after power loss.
+ *
+ * A single-channel System is one event queue stepped by a plain serial
+ * loop. A multi-channel System always runs on the sharded kernel
+ * (sim/shard.hh): one core shard (CPU + caches + channel group) plus
+ * one shard per channel, stepped by sim_threads workers.
  */
 
 #ifndef THYNVM_HARNESS_SYSTEM_HH
@@ -27,7 +32,6 @@
 #include "cpu/cpu.hh"
 #include "harness/channel_group.hh"
 #include "harness/system_kind.hh"
-#include "sim/shard.hh"
 
 namespace thynvm {
 
@@ -45,12 +49,13 @@ struct SystemConfig
     bool use_caches = true;
 
     /**
-     * Worker threads for the sharded event kernel when this system is
-     * run standalone: 0 defers to the THYNVM_SIM_THREADS environment
-     * variable (unset = serial), 1 forces the serial stepping loop,
-     * >1 steps the system's shards on a worker pool in conservative
-     * windows (sim/shard.hh). Any value produces byte-identical stats;
-     * this is the escape hatch back to serial if it ever does not.
+     * Worker threads for the sharded event kernel of a multi-channel
+     * system (channels >= 2): 0 defers to the THYNVM_SIM_THREADS
+     * environment variable (unset = one worker), 1 steps the shards
+     * inline on the calling thread, >1 steps them concurrently in
+     * conservative windows (sim/shard.hh). Any value produces
+     * byte-identical stats. A single-channel system always runs the
+     * serial loop and ignores this.
      */
     unsigned sim_threads = 0;
 
@@ -133,40 +138,11 @@ class System
      * Advance simulation until the workload finishes or @p duration
      * ticks elapse. @return current tick.
      *
-     * With an effective sim-thread count above one (sim_threads /
-     * THYNVM_SIM_THREADS), the run is executed on the sharded kernel
-     * via a single-system SystemGroup; event order and stats are
-     * byte-identical to the serial loop.
+     * A multi-channel topology runs on the sharded kernel with
+     * simThreads() workers; its stats are byte-identical at any
+     * worker count.
      */
     Tick run(Tick duration = kMaxTick);
-
-    /**
-     * Step this system inside one kernel window: execute events with
-     * tick strictly below the live bound @p win (re-read per event —
-     * posting retreats it), stopping early when the workload finishes,
-     * the queue drains, or @p limit is passed — exactly the serial
-     * run() loop, bounded by the window.
-     * @return true if the system can still make progress.
-     */
-    bool stepWindow(ShardWindow win, Tick limit);
-
-    /**
-     * Tag every component of this system with a kernel shard id. The
-     * whole single-channel machine is one shard: all its components
-     * exchange same-tick calls.
-     */
-    void setShard(unsigned shard);
-
-    /**
-     * Register this system's shards with @p kernel: the core shard
-     * (CPU + caches + controller front-end) plus, on a multi-channel
-     * topology, one shard per channel linked to the core with the
-     * cross-channel lookahead. @return the core shard id.
-     */
-    unsigned registerShards(ShardedKernel& kernel, Tick limit);
-
-    /** Forget the kernel after a sharded run. */
-    void detachKernel();
 
     /**
      * Deterministically execute exactly the events with tick <= @p cut
@@ -179,13 +155,13 @@ class System
     /** Effective channel count of this topology (>= 1). */
     unsigned channels() const { return channels_; }
 
-    /** Effective sharded-kernel worker count for standalone runs. */
+    /** Effective sharded-kernel worker count (multi-channel runs). */
     unsigned simThreads() const;
 
-    /** Kernel windows executed by the last sharded run() (0 when the
-     *  run used the plain serial loop). */
+    /** Kernel windows executed by the last multi-channel run() or
+     *  runTo() (0 on a single-channel system: no kernel). */
     std::uint64_t kernelWindows() const { return kernel_windows_; }
-    /** Cross-shard messages delivered by the last sharded run(). */
+    /** Cross-shard messages delivered by the last kernel run. */
     std::uint64_t kernelMessages() const { return kernel_messages_; }
 
     /** True once the workload finished. */
@@ -232,6 +208,13 @@ class System
   private:
     void buildAboveController();
     void wireFlushClient();
+    /**
+     * Multi-channel run(limit) and runTo(cut): step the core shard and
+     * every channel shard on one kernel until the workload finishes,
+     * the queues drain, @p limit is reached, or only events past
+     * @p cut remain.
+     */
+    void runKernel(Tick limit, Tick cut);
     void flushCaches(std::function<void()> done);
 
     SystemConfig cfg_;

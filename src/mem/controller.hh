@@ -253,21 +253,6 @@ class MemController : public SimObject, public BlockAccessor
         site_prefix_ = std::move(prefix);
     }
 
-    /**
-     * Shard affinity: a controller and the devices it drives exchange
-     * same-tick calls (zero-copy enqueue, completion callbacks), so
-     * they must always be stepped by the same kernel shard.
-     */
-    void
-    setShard(unsigned shard) override
-    {
-        SimObject::setShard(shard);
-        if (MemDevice* d = nvmDevice())
-            d->setShard(shard);
-        if (MemDevice* d = dramDevice())
-            d->setShard(shard);
-    }
-
     /** NVM device, if this controller has one (for traffic metrics). */
     virtual MemDevice* nvmDevice() { return nullptr; }
     /** DRAM device, if this controller has one. */

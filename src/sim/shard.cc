@@ -33,15 +33,14 @@
  *    it lands at or after when + L > every tick the poster reached.
  *
  * Both the post() admission check (against the *target's* window) and
- * EventQueue::scheduleMessage's delivery-in-the-past check stay armed
- * in EOT mode: a bound that was not conservative — e.g. a lying EotFn
- * override — panics deterministically instead of corrupting order.
+ * EventQueue::scheduleMessage's delivery-in-the-past check stay armed:
+ * a bound that was not conservative — e.g. a lying EotFn override —
+ * panics deterministically instead of corrupting order.
  */
 
 #include "sim/shard.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -59,11 +58,6 @@ satAdd(Tick a, Tick b)
 }
 
 } // namespace
-
-ShardedKernel::ShardedKernel()
-    : eot_(std::getenv("THYNVM_NO_EOT") == nullptr)
-{
-}
 
 unsigned
 ShardedKernel::addShard(std::string name, EventQueue& eq, StepFn step)
@@ -172,7 +166,6 @@ ShardedKernel::post(unsigned from, unsigned to, Tick when,
 void
 ShardedKernel::prepare()
 {
-    min_lookahead_ = kMaxTick;
     for (auto& s : shards_) {
         s.min_out = kMaxTick;
         s.in.clear();
@@ -183,150 +176,73 @@ ShardedKernel::prepare()
     }
     for (auto& l : links_) {
         l.dirty = false;
-        min_lookahead_ = std::min(min_lookahead_, l.lookahead);
         shards_[l.from].min_out =
             std::min(shards_[l.from].min_out, l.lookahead);
         shards_[l.to].in.push_back(l.from);
     }
-    heap_.clear();
-    credited_.assign(shards_.size(), kMaxTick);
-    if (!eot_) {
-        for (unsigned i = 0; i < shards_.size(); ++i) {
-            const Shard& s = shards_[i];
-            if (s.runnable && !s.eq->empty()) {
-                credited_[i] = s.eq->nextTick();
-                heap_.push_back({credited_[i], i});
-            }
-        }
-        std::make_heap(heap_.begin(), heap_.end(),
-                       [](const HeapEntry& a, const HeapEntry& b) {
-                           return a > b;
-                       });
-    }
-}
-
-Tick
-ShardedKernel::earliestPending()
-{
-    const auto after = [](const HeapEntry& a, const HeapEntry& b) {
-        return a > b;
-    };
-    // Lazy validation: a live entry (tick == credited_[shard]) is a
-    // lower bound on its shard's next-event tick (stepping only raises
-    // it; an earlier delivery supersedes the entry via credited_).
-    // Pop superseded and stale entries, reinserting the live tick,
-    // until the top is exact.
-    while (!heap_.empty()) {
-        const HeapEntry top = heap_.front();
-        if (top.tick == credited_[top.shard]) {
-            const Shard& s = shards_[top.shard];
-            const Tick live = (s.runnable && !s.eq->empty())
-                                  ? s.eq->nextTick()
-                                  : kMaxTick;
-            if (live == top.tick)
-                return live;
-            credited_[top.shard] = live;
-            std::pop_heap(heap_.begin(), heap_.end(), after);
-            heap_.pop_back();
-            if (live != kMaxTick) {
-                heap_.push_back({live, top.shard});
-                std::push_heap(heap_.begin(), heap_.end(), after);
-            }
-        } else {
-            // Superseded duplicate: a lower credited entry for this
-            // shard is (or was) elsewhere in the heap.
-            std::pop_heap(heap_.begin(), heap_.end(), after);
-            heap_.pop_back();
-        }
-    }
-    return kMaxTick;
 }
 
 std::size_t
 ShardedKernel::planWindows()
 {
-    std::size_t n_active = 0;
-
-    if (eot_) {
-        // Round inputs: who can execute, and the earliest tick their
-        // execution could deliver a message at.
-        unsigned busy_count = 0;
-        unsigned busy_shard = 0;
-        for (unsigned i = 0; i < shards_.size(); ++i) {
-            Shard& s = shards_[i];
-            s.next =
-                (s.runnable && !s.eq->empty()) ? s.eq->nextTick() : kMaxTick;
-            if (s.next != kMaxTick) {
-                ++busy_count;
-                busy_shard = i;
-            }
-            s.busy = s.next == kMaxTick ? kMaxTick
-                     : s.eot_fn         ? s.eot_fn()
-                                        : satAdd(s.next, s.min_out);
-            s.eot = s.busy;
+    // Round inputs: who can execute, and the earliest tick their
+    // execution could deliver a message at.
+    unsigned busy_count = 0;
+    unsigned busy_shard = 0;
+    for (unsigned i = 0; i < shards_.size(); ++i) {
+        Shard& s = shards_[i];
+        s.next = (s.runnable && !s.eq->empty()) ? s.eq->nextTick() : kMaxTick;
+        if (s.next != kMaxTick) {
+            ++busy_count;
+            busy_shard = i;
         }
-        if (busy_count == 0)
-            return 0;
-
-        // Greatest fixpoint of
-        //   window(x) = min over in-links of eot(sender)
-        //   eot(s)    = min(busy(s), window(s) + min_out(s))
-        // by monotone descent from +infinity; converges because each
-        // pass can only substitute a shorter relay chain's bound and
-        // positive lookaheads make cyclic chains non-improving.
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (auto& x : shards_) {
-                Tick w = kMaxTick;
-                for (unsigned src : x.in)
-                    w = std::min(w, shards_[src].eot);
-                x.window_end = w;
-            }
-            for (auto& s : shards_) {
-                const Tick e =
-                    std::min(s.busy, satAdd(s.window_end, s.min_out));
-                if (e != s.eot) {
-                    s.eot = e;
-                    changed = true;
-                }
-            }
-        }
-
-        // Sole actor: nobody else can execute, so nothing can be sent
-        // to anybody — the one busy shard runs to the barrier edge.
-        if (busy_count == 1)
-            shards_[busy_shard].window_end = kMaxTick;
-
-        for (auto& s : shards_) {
-            if (barrier_period_ != 0 && s.next != kMaxTick) {
-                const Tick edge =
-                    (s.next / barrier_period_ + 1) * barrier_period_;
-                s.window_end = std::min(s.window_end, edge);
-            }
-            s.dyn_end = s.window_end;
-            s.active = s.next < s.window_end;
-            if (s.active)
-                ++n_active;
-        }
-        return n_active;
+        s.busy = s.next == kMaxTick ? kMaxTick
+                 : s.eot_fn         ? s.eot_fn()
+                                    : satAdd(s.next, s.min_out);
+        s.eot = s.busy;
     }
-
-    // Fixed-lookahead policy (THYNVM_NO_EOT): one global window
-    // [t, t + min-lookahead) clamped to the barrier edge, exactly the
-    // pre-EOT kernel.
-    const Tick t = earliestPending();
-    if (t == kMaxTick)
+    if (busy_count == 0)
         return 0;
-    Tick wend = satAdd(t, min_lookahead_);
-    if (barrier_period_ != 0) {
-        const Tick edge = (t / barrier_period_ + 1) * barrier_period_;
-        wend = std::min(wend, edge);
+
+    // Greatest fixpoint of
+    //   window(x) = min over in-links of eot(sender)
+    //   eot(s)    = min(busy(s), window(s) + min_out(s))
+    // by monotone descent from +infinity; converges because each
+    // pass can only substitute a shorter relay chain's bound and
+    // positive lookaheads make cyclic chains non-improving.
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (auto& x : shards_) {
+            Tick w = kMaxTick;
+            for (unsigned src : x.in)
+                w = std::min(w, shards_[src].eot);
+            x.window_end = w;
+        }
+        for (auto& s : shards_) {
+            const Tick e =
+                std::min(s.busy, satAdd(s.window_end, s.min_out));
+            if (e != s.eot) {
+                s.eot = e;
+                changed = true;
+            }
+        }
     }
+
+    // Sole actor: nobody else can execute, so nothing can be sent
+    // to anybody — the one busy shard runs to the barrier edge.
+    if (busy_count == 1)
+        shards_[busy_shard].window_end = kMaxTick;
+
+    std::size_t n_active = 0;
     for (auto& s : shards_) {
-        s.window_end = wend;
-        s.dyn_end = wend;
-        s.active = s.runnable && !s.eq->empty() && s.eq->nextTick() < wend;
+        if (barrier_period_ != 0 && s.next != kMaxTick) {
+            const Tick edge =
+                (s.next / barrier_period_ + 1) * barrier_period_;
+            s.window_end = std::min(s.window_end, edge);
+        }
+        s.dyn_end = s.window_end;
+        s.active = s.next < s.window_end;
         if (s.active)
             ++n_active;
     }
@@ -346,16 +262,6 @@ ShardedKernel::drainPosted()
             for (Message& m : l.mailbox) {
                 target.eq->scheduleMessage(m.when, m.key, std::move(m.fn));
                 target.runnable = true;
-                if (!eot_ && m.when < credited_[l.to]) {
-                    // Only a strictly earlier delivery needs a new
-                    // entry; the existing credited bound stays valid
-                    // otherwise. Keeps the heap O(shards).
-                    credited_[l.to] = m.when;
-                    heap_.push_back({m.when, l.to});
-                    std::push_heap(heap_.begin(), heap_.end(),
-                                   [](const HeapEntry& a,
-                                      const HeapEntry& b) { return a > b; });
-                }
                 ++messages_;
             }
             l.mailbox.clear();
@@ -428,7 +334,7 @@ ShardedKernel::workerLoop(unsigned party)
 }
 
 Tick
-ShardedKernel::run(unsigned threads, ThreadPool* pool)
+ShardedKernel::run(unsigned threads)
 {
     windows_ = 0;
     messages_ = 0;
@@ -436,10 +342,8 @@ ShardedKernel::run(unsigned threads, ThreadPool* pool)
         return 0;
     prepare();
 
-    unsigned parties = std::min<unsigned>(std::max(threads, 1u),
-                                          shardCount());
-    if (pool != nullptr)
-        parties = std::min(parties, pool->size() + 1);
+    const unsigned parties =
+        std::min<unsigned>(std::max(threads, 1u), shardCount());
     parties_ = parties;
 
     if (parties <= 1) {
@@ -453,18 +357,9 @@ ShardedKernel::run(unsigned threads, ThreadPool* pool)
         stop_ = false;
         errors_.assign(parties, nullptr);
 
-        std::vector<std::thread> own;
-        CountdownLatch done(parties - 1);
-        for (unsigned p = 1; p < parties; ++p) {
-            auto body = [this, p, &done] {
-                workerLoop(p);
-                done.arrive();
-            };
-            if (pool != nullptr)
-                pool->submit(body);
-            else
-                own.emplace_back(body);
-        }
+        std::vector<std::thread> workers;
+        for (unsigned p = 1; p < parties; ++p)
+            workers.emplace_back([this, p] { workerLoop(p); });
 
         std::exception_ptr err;
         try {
@@ -475,8 +370,7 @@ ShardedKernel::run(unsigned threads, ThreadPool* pool)
         }
         stop_ = true;
         release.arriveAndWait();
-        done.wait();
-        for (auto& t : own)
+        for (auto& t : workers)
             t.join();
         release_ = nullptr;
         join_ = nullptr;

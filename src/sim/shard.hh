@@ -50,15 +50,9 @@
  *    of the ThyNVM protocol) are global barriers: no shard enters
  *    epoch k+1 until every shard has finished epoch k.
  *
- * Setting THYNVM_NO_EOT in the environment (or setEotWidening(false))
- * falls back to fixed-lookahead windows — every shard gets the same
- * [t, t + min-lookahead) window, like the pre-EOT kernel — with the
- * same executed event sequence; the equivalence suites compare both
- * modes byte for byte.
- *
- * Shards with no links between them (today: independent Systems
- * co-scheduled by harness/shard_group.hh) have infinite lookahead and
- * synchronize only at barrier-period edges.
+ * The one client is a multi-channel System (harness/system.hh): one
+ * core shard plus one shard per memory channel. A single-channel System
+ * never builds a kernel; it runs the plain serial event loop.
  */
 
 #ifndef THYNVM_SIM_SHARD_HH
@@ -120,7 +114,7 @@ class ShardedKernel
      */
     using EotFn = std::function<Tick()>;
 
-    ShardedKernel();
+    ShardedKernel() = default;
     ShardedKernel(const ShardedKernel&) = delete;
     ShardedKernel& operator=(const ShardedKernel&) = delete;
 
@@ -167,11 +161,6 @@ class ShardedKernel
     void post(unsigned from, unsigned to, Tick when,
               std::function<void()> fn);
 
-    /** Enable/disable EOT window widening (default: on unless the
-     *  THYNVM_NO_EOT environment variable is set). */
-    void setEotWidening(bool on) { eot_ = on; }
-    bool eotWidening() const { return eot_; }
-
     /** Install an EOT override for shard @p shard (tests; see EotFn). */
     void setEotFn(unsigned shard, EotFn fn);
 
@@ -182,18 +171,14 @@ class ShardedKernel
      * @param threads worker count. 1 steps shards inline on the
      *        calling thread in shard-id order — the serial reference
      *        schedule. More workers step shards concurrently on
-     *        persistent per-run worker threads (or @p pool jobs)
-     *        rendezvousing on spin-then-yield barriers; rounds in
-     *        which at most one shard has work are elided onto the
-     *        calling thread without touching the barriers. The
-     *        executed event sequence per shard is identical either
-     *        way.
-     * @param pool optional shared ThreadPool (benchmark fan-out and
-     *        shard stepping can use one pool); its size caps effective
-     *        concurrency.
+     *        persistent per-run worker threads rendezvousing on
+     *        spin-then-yield barriers; rounds in which at most one
+     *        shard has work are elided onto the calling thread without
+     *        touching the barriers. The executed event sequence per
+     *        shard is identical either way.
      * @return the latest tick reached by any shard.
      */
-    Tick run(unsigned threads, ThreadPool* pool = nullptr);
+    Tick run(unsigned threads);
 
     /** Number of registered shards. */
     unsigned shardCount() const
@@ -264,33 +249,13 @@ class ShardedKernel
         std::vector<unsigned> posted;
     };
 
-    /**
-     * (next-event-tick, shard) entries for the EOT-off window base.
-     * An entry is live only while its tick equals credited_[shard];
-     * superseded duplicates are dropped when they surface, which keeps
-     * the heap O(shards) instead of growing by one entry per message.
-     */
-    struct HeapEntry
-    {
-        Tick tick = 0;
-        unsigned shard = 0;
-        bool operator>(const HeapEntry& o) const
-        {
-            return tick > o.tick || (tick == o.tick && shard > o.shard);
-        }
-    };
-
     /** Rebuild the dense (from, to) -> link-id index. */
     void rebuildLinkIndex();
-    /** Per-run derived state: min_out, in-lists, heap seed. */
+    /** Per-run derived state: min_out, in-lists. */
     void prepare();
-    /** Earliest next-event tick over runnable shards (EOT-off; lazy
-     *  min-heap kept current by deliveries). */
-    Tick earliestPending();
     /**
      * Compute every shard's window for the next round (EOT fixpoint +
-     * sole-actor override + barrier clamp, or the fixed-lookahead
-     * policy when widening is off) and mark active shards.
+     * sole-actor override + barrier clamp) and mark active shards.
      * @return the number of active shards (0: the run is over).
      */
     std::size_t planWindows();
@@ -310,13 +275,6 @@ class ShardedKernel
     std::vector<std::int32_t> link_index_;
     std::size_t stride_ = 0;
     Tick barrier_period_ = 0;
-    /** Minimum lookahead over all links (EOT-off window width). */
-    Tick min_lookahead_ = kMaxTick;
-    bool eot_ = true;
-    std::vector<HeapEntry> heap_;
-    /** Per-shard tick credited in heap_ (kMaxTick: no live entry).
-     *  Always a lower bound on the shard's live next-event tick. */
-    std::vector<Tick> credited_;
     std::uint64_t windows_ = 0;
     std::uint64_t messages_ = 0;
 

@@ -11,6 +11,11 @@
  *     (tests/goldens/channel_*.txt; regenerate only deliberately with
  *     THYNVM_UPDATE_GOLDENS=1).
  *
+ *     The 2-channel topology is pinned the same way
+ *     (tests/goldens/channel2_*.txt), so a change to the sharded
+ *     kernel is checked against a fixed reference and not only against
+ *     another schedule of itself.
+ *
  *  2. A multi-channel System executes on per-channel kernel shards,
  *     and its dumpStats() and final tick are byte-identical to the
  *     serial (threads = 1) stepping of the same topology at every
@@ -156,27 +161,32 @@ runOne(Family f, const SystemConfig& cfg)
 }
 
 std::string
-goldenPath(Family f, SystemKind kind)
+goldenPath(const char* prefix, Family f, SystemKind kind)
 {
-    return std::string(THYNVM_GOLDEN_DIR) + "/channel_" +
+    return std::string(THYNVM_GOLDEN_DIR) + "/" + prefix + "_" +
            familyToken(f) + "_" + kindToken(kind) + ".txt";
 }
 
 /**
- * channels=1 must remain the seed topology, byte for byte: compare
- * dumpStats against goldens generated before multi-channel support.
+ * Compare final tick + dumpStats of every family x kind, configured by
+ * @p configure, against tests/goldens/<prefix>_<family>_<kind>.txt
+ * (rewritten instead when THYNVM_UPDATE_GOLDENS is set).
  */
-TEST(ChannelEquivalence, SingleChannelMatchesPreChangeGoldens)
+template <typename Configure>
+void
+checkGoldens(const char* prefix, Configure configure)
 {
     const bool update =
         std::getenv("THYNVM_UPDATE_GOLDENS") != nullptr;
     for (SystemKind kind : allKinds()) {
         for (Family f :
              {Family::MicroRandom, Family::KvHash, Family::SpecGcc}) {
-            const RunResult r = runOne(f, smallConfig(kind));
+            SystemConfig cfg = smallConfig(kind);
+            configure(cfg);
+            const RunResult r = runOne(f, cfg);
             ASSERT_TRUE(r.finished)
                 << familyToken(f) << "/" << kindToken(kind);
-            const std::string path = goldenPath(f, kind);
+            const std::string path = goldenPath(prefix, f, kind);
             if (update) {
                 std::ofstream out(path, std::ios::binary);
                 ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -192,10 +202,33 @@ TEST(ChannelEquivalence, SingleChannelMatchesPreChangeGoldens)
             std::ostringstream got;
             got << "final_tick=" << r.final_tick << "\n" << r.stats;
             EXPECT_EQ(got.str(), want.str())
-                << "channels=1 diverged from the pre-change topology: "
-                << path;
+                << "channels=" << cfg.channels
+                << " diverged from its golden: " << path;
         }
     }
+}
+
+/**
+ * channels=1 must remain the seed topology, byte for byte: compare
+ * dumpStats against goldens generated before multi-channel support.
+ */
+TEST(ChannelEquivalence, SingleChannelMatchesPreChangeGoldens)
+{
+    checkGoldens("channel", [](SystemConfig&) {});
+}
+
+/**
+ * channels=2 at one worker (the MultiChannelDeterministicAcrossThreadCounts
+ * configuration) against goldens written by the sharded kernel before
+ * its scheduling paths were consolidated.
+ */
+TEST(ChannelEquivalence, TwoChannelMatchesGoldens)
+{
+    checkGoldens("channel2", [](SystemConfig& cfg) {
+        cfg.channels = 2;
+        cfg.epoch_length = 100 * kMicrosecond;
+        cfg.sim_threads = 1;
+    });
 }
 
 /**
@@ -229,67 +262,6 @@ TEST(ChannelEquivalence, MultiChannelDeterministicAcrossThreadCounts)
                     << ": sharded run diverged from the one-worker "
                        "schedule";
             }
-        }
-    }
-}
-
-/** Scoped environment override (nullptr clears); the previous value
- *  is restored on destruction. */
-struct EnvGuard
-{
-    EnvGuard(const char* name, const char* value) : name_(name)
-    {
-        if (const char* old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
-
-/**
- * Earliest-output-time window widening is host-side scheduling only:
- * for every channel count and worker count, a run with widening on is
- * byte-identical (dumpStats and final tick) to the same run under the
- * THYNVM_NO_EOT fixed-lookahead fallback.
- */
-TEST(ChannelEquivalence, EotModesByteIdenticalAcrossChannelsAndThreads)
-{
-    for (unsigned channels : {1u, 2u, 4u}) {
-        SystemConfig cfg = smallConfig(SystemKind::ThyNvm);
-        cfg.channels = channels;
-        cfg.epoch_length = 100 * kMicrosecond;
-        RunResult widened;
-        {
-            EnvGuard on("THYNVM_NO_EOT", nullptr); // widening on
-            cfg.sim_threads = 1;
-            widened = runOne(Family::MicroRandom, cfg);
-        }
-        ASSERT_TRUE(widened.finished) << "channels=" << channels;
-        EnvGuard off("THYNVM_NO_EOT", "1");
-        for (unsigned threads : {1u, 2u, 4u}) {
-            cfg.sim_threads = threads;
-            const RunResult narrow = runOne(Family::MicroRandom, cfg);
-            EXPECT_TRUE(narrow.finished)
-                << "channels=" << channels << " threads=" << threads;
-            EXPECT_EQ(narrow.final_tick, widened.final_tick)
-                << "channels=" << channels << " threads=" << threads;
-            EXPECT_EQ(narrow.stats, widened.stats)
-                << "channels=" << channels << " threads=" << threads
-                << ": THYNVM_NO_EOT=1 diverged from the widened run";
         }
     }
 }

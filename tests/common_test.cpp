@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the common utilities: types, logging, RNG, stats.
+ * Unit tests for the common utilities: types, logging, RNG, stats,
+ * command-line lists.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -187,6 +189,26 @@ TEST(StatsTest, GroupValuesAndFormulas)
     EXPECT_EQ(all.size(), 3u);
     g.reset();
     EXPECT_DOUBLE_EQ(g.value("a"), 0.0);
+}
+
+TEST(CliTest, ParsesUnsignedLists)
+{
+    using V = std::vector<std::uint64_t>;
+    EXPECT_EQ(parseUintList("0", "--x"), V({0}));
+    EXPECT_EQ(parseUintList("0,1000", "--x"), V({0, 1000}));
+    EXPECT_EQ(parseUintList("18446744073709551615", "--x"),
+              V({18446744073709551615ull}));
+}
+
+TEST(CliTest, RejectsMalformedListsInsteadOfLooping)
+{
+    // Each of these once spun forever appending zeros: the token does
+    // not start with a digit, so strtoull consumed nothing.
+    for (const char* bad : {"x", "5,x", "5,,6", "-1", "", "5,", ",5",
+                            "5x", "5 ,6", "+5", "18446744073709551616"}) {
+        EXPECT_THROW(parseUintList(bad, "--x"), FatalError)
+            << "'" << bad << "'";
+    }
 }
 
 } // namespace

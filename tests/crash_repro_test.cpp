@@ -237,24 +237,27 @@ TEST(CrashRepro, CampaignIsThreadCountInvariant)
 using test::EnvGuard;
 
 /**
- * Running the campaign while THYNVM_SIM_THREADS routes every simulated
- * System through the sharded kernel must not change a single repro
- * string or oracle verdict: crash sites fire at the same ticks whether
- * the event loop is stepped serially or in lookahead windows.
+ * THYNVM_SIM_THREADS only sizes the sharded kernel of multi-channel
+ * Systems; the default campaign is single-channel, so every System in
+ * it keeps the serial event loop. Setting the variable (with case
+ * fan-out on 2 workers on top) must not change a single repro string
+ * or oracle verdict.
  */
 TEST(CrashRepro, CampaignInvariantUnderSimThreadsEnv)
 {
     FuzzerConfig fc;
     CampaignOptions opts; // defaults: the full tier-1 campaign
 
-    const CampaignResult base = runCampaign(fc, opts, nullptr, 1);
+    CampaignResult base;
+    {
+        EnvGuard one("THYNVM_SIM_THREADS", "1");
+        base = runCampaign(fc, opts, nullptr, 1);
+    }
     EXPECT_FALSE(base.repros.empty());
 
-    // Every simulated System inside every case now runs through the
-    // sharded kernel; case fan-out runs on 2 workers on top of that.
     EnvGuard env("THYNVM_SIM_THREADS", "4");
-    const CampaignResult sharded = runCampaign(fc, opts, nullptr, 2);
-    expectSameCampaign(base, sharded, "THYNVM_SIM_THREADS=4");
+    const CampaignResult other = runCampaign(fc, opts, nullptr, 2);
+    expectSameCampaign(base, other, "THYNVM_SIM_THREADS=4");
 }
 
 /**
@@ -262,7 +265,7 @@ TEST(CrashRepro, CampaignInvariantUnderSimThreadsEnv)
  * group.* barrier sites) re-run with every simulated System sharded
  * across THYNVM_SIM_THREADS=4 workers: the earliest-output-time window
  * schedule must not move a single crash tick or change any recovery
- * image, with widening on and with the THYNVM_NO_EOT fallback.
+ * image.
  */
 TEST(CrashRepro, MultiChannelCampaignInvariantUnderSimThreadsEnv)
 {
@@ -270,24 +273,17 @@ TEST(CrashRepro, MultiChannelCampaignInvariantUnderSimThreadsEnv)
     CampaignOptions opts;
     opts.channels = 2;
 
-    const CampaignResult base = runCampaign(fc, opts, nullptr, 1);
+    CampaignResult base;
+    {
+        EnvGuard one("THYNVM_SIM_THREADS", "1");
+        base = runCampaign(fc, opts, nullptr, 1);
+    }
     EXPECT_FALSE(base.repros.empty());
     EXPECT_TRUE(base.violations.empty());
 
-    {
-        EnvGuard env("THYNVM_SIM_THREADS", "4");
-        const CampaignResult sharded = runCampaign(fc, opts, nullptr, 2);
-        expectSameCampaign(base, sharded,
-                           "channels=2 THYNVM_SIM_THREADS=4");
-    }
-    {
-        EnvGuard threads("THYNVM_SIM_THREADS", "4");
-        EnvGuard no_eot("THYNVM_NO_EOT", "1");
-        const CampaignResult narrow = runCampaign(fc, opts, nullptr, 2);
-        expectSameCampaign(base, narrow,
-                           "channels=2 THYNVM_SIM_THREADS=4 "
-                           "THYNVM_NO_EOT=1");
-    }
+    EnvGuard env("THYNVM_SIM_THREADS", "4");
+    const CampaignResult sharded = runCampaign(fc, opts, nullptr, 2);
+    expectSameCampaign(base, sharded, "channels=2 THYNVM_SIM_THREADS=4");
 }
 
 /**

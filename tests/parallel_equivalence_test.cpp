@@ -3,24 +3,26 @@
  * Serial vs sharded-kernel equivalence of whole simulations.
  *
  * The contract of the deterministic sharded kernel (DESIGN.md §8) is
- * that running a simulation with any worker thread count produces
- * byte-identical statistics and the identical final tick as the serial
- * event loop. These tests pin that contract end to end across the
- * figure-bench workload families (micro patterns, KV store, SPEC
- * profiles) and every crash-consistency system kind, through all three
- * entry points: SystemConfig::sim_threads, the THYNVM_SIM_THREADS
- * environment variable, and explicit SystemGroup co-scheduling.
+ * that running a multi-channel simulation with any worker thread count
+ * produces byte-identical statistics and the identical final tick as
+ * its one-worker run. These tests pin that contract end to end across
+ * the figure-bench workload families (micro patterns, KV store, SPEC
+ * profiles) and the crash-consistency system kinds, through both entry
+ * points: SystemConfig::sim_threads and the THYNVM_SIM_THREADS
+ * environment variable. Every run uses at least two memory channels:
+ * a single-channel System has no kernel, only the serial loop.
  */
 
 #include "tests/test_util.hh"
 
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "harness/shard_group.hh"
+#include "common/parallel.hh"
 #include "harness/system.hh"
 #include "workloads/kvstore.hh"
 #include "workloads/micro.hh"
@@ -66,6 +68,10 @@ smallConfig(SystemKind kind)
 {
     SystemConfig cfg;
     cfg.kind = kind;
+    // At least two channels (three kernel shards), so a thread sweep
+    // compares different schedules; a THYNVM_CHANNELS value in the
+    // environment can only widen the topology.
+    cfg.channels = std::max(2u, channelsFromEnv());
     cfg.phys_size = 4u << 20;
     cfg.epoch_length = 1 * kMillisecond;
     cfg.thynvm.btt_entries = 256;
@@ -118,8 +124,8 @@ makeWorkload(Family f)
 
 /**
  * One complete run: fresh workload, fresh System, run to completion.
- * @p sim_threads goes through SystemConfig::sim_threads (1 = serial
- * loop, >1 = sharded kernel on worker threads).
+ * @p sim_threads goes through SystemConfig::sim_threads (0 = the
+ * environment, 1 = one worker, >1 = kernel shards on worker threads).
  */
 RunResult
 runOne(Family f, SystemKind kind, unsigned sim_threads)
@@ -184,36 +190,12 @@ TEST(ParallelEquivalence, StorageAndSpecByteIdenticalAtAnyThreadCount)
     }
 }
 
-/** Scoped environment override (nullptr clears); the previous value
- *  is restored on destruction. */
-struct EnvGuard
-{
-    EnvGuard(const char* name, const char* value) : name_(name)
-    {
-        if (const char* old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
+using test::EnvGuard;
 
 TEST(ParallelEquivalence, EnvVarEscapeHatchMatchesSerial)
 {
-    // sim_threads = 0 defers to the environment; unset env = serial.
+    // sim_threads = 0 defers to the environment; unset env = one
+    // worker.
     const RunResult serial =
         runOne(Family::MicroRandom, SystemKind::ThyNvm, 0);
     ASSERT_TRUE(serial.finished);
@@ -233,77 +215,63 @@ TEST(ParallelEquivalence, EnvVarEscapeHatchMatchesSerial)
 }
 
 /**
- * EOT window widening vs the fixed-lookahead fallback (THYNVM_NO_EOT)
- * must execute the identical schedule: the window pattern is host-side
- * scheduling only, never simulated behavior.
+ * A single-channel System has no kernel: whatever sim_threads or
+ * THYNVM_SIM_THREADS ask for, run() takes the serial event loop, so it
+ * executes no kernel window, posts no cross-shard message and produces
+ * the same run. The 2-channel run beside it shows the counters do move
+ * when a kernel runs.
  */
-TEST(ParallelEquivalence, EotModesByteIdenticalAtAnyThreadCount)
+TEST(ParallelEquivalence, SingleChannelIgnoresSimThreads)
 {
-    RunResult widened;
+    struct Run
     {
-        EnvGuard on("THYNVM_NO_EOT", nullptr); // widening on
-        widened = runOne(Family::MicroRandom, SystemKind::ThyNvm, 2);
-    }
-    ASSERT_TRUE(widened.finished);
-    EnvGuard off("THYNVM_NO_EOT", "1");
-    for (unsigned threads : {1u, 2u, 4u}) {
-        expectSameRun(widened,
-                      runOne(Family::MicroRandom, SystemKind::ThyNvm,
-                             threads),
-                      "THYNVM_NO_EOT=1 threads=" +
-                          std::to_string(threads));
-    }
-}
-
-/**
- * Co-scheduling several Systems as shards of one kernel run must leave
- * each System byte-identical to its solo serial run — the shards share
- * worker threads and epoch barriers but no simulated state.
- */
-TEST(ParallelEquivalence, SystemGroupMatchesSoloRuns)
-{
-    struct Cell
-    {
-        Family family;
-        SystemKind kind;
+        RunResult result;
+        std::uint64_t windows = 0;
+        std::uint64_t messages = 0;
     };
-    const std::vector<Cell> cells = {
-        {Family::MicroRandom, SystemKind::ThyNvm},
-        {Family::MicroStreaming, SystemKind::Journal},
-        {Family::MicroSliding, SystemKind::Shadow},
-        {Family::KvHash, SystemKind::ThyNvm},
+    const auto run = [](unsigned channels, unsigned sim_threads) {
+        SystemConfig cfg = smallConfig(SystemKind::ThyNvm);
+        cfg.channels = channels;
+        cfg.sim_threads = sim_threads;
+        auto wl = makeWorkload(Family::MicroRandom);
+        System sys(cfg, *wl);
+        sys.start();
+        Run r;
+        r.result.final_tick = sys.run(20 * kSecond);
+        r.result.finished = sys.finished();
+        std::ostringstream os;
+        sys.dumpStats(os);
+        r.result.stats = os.str();
+        r.windows = sys.kernelWindows();
+        r.messages = sys.kernelMessages();
+        return r;
     };
 
-    // Solo serial reference runs.
-    std::vector<RunResult> solo;
-    for (const Cell& c : cells)
-        solo.push_back(runOne(c.family, c.kind, 1));
-    for (const RunResult& r : solo)
-        ASSERT_TRUE(r.finished);
-
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        std::vector<std::unique_ptr<Workload>> wls;
-        std::vector<std::unique_ptr<System>> systems;
-        SystemGroup group;
-        for (const Cell& c : cells) {
-            wls.push_back(makeWorkload(c.family));
-            systems.push_back(
-                std::make_unique<System>(smallConfig(c.kind),
-                                         *wls.back()));
-            systems.back()->start();
-            group.add(*systems.back());
-        }
-        group.run(threads, 20 * kSecond);
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            std::ostringstream os;
-            systems[i]->dumpStats(os);
-            const std::string what =
-                std::string("group threads=") + std::to_string(threads) +
-                " cell=" + familyName(cells[i].family);
-            EXPECT_TRUE(systems[i]->finished()) << what;
-            EXPECT_EQ(os.str(), solo[i].stats) << what;
-        }
+    const Run serial = run(1, 1);
+    ASSERT_TRUE(serial.result.finished);
+    EXPECT_EQ(serial.windows, 0u);
+    EXPECT_EQ(serial.messages, 0u);
+    for (unsigned threads : {2u, 4u}) {
+        const std::string what =
+            "channels=1 sim_threads=" + std::to_string(threads);
+        const Run r = run(1, threads);
+        expectSameRun(serial.result, r.result, what);
+        EXPECT_EQ(r.windows, 0u) << what;
+        EXPECT_EQ(r.messages, 0u) << what;
     }
+    {
+        EnvGuard env("THYNVM_SIM_THREADS", "4");
+        const Run r = run(1, 0);
+        expectSameRun(serial.result, r.result,
+                      "channels=1 THYNVM_SIM_THREADS=4");
+        EXPECT_EQ(r.windows, 0u);
+        EXPECT_EQ(r.messages, 0u);
+    }
+
+    const Run sharded = run(2, 2);
+    ASSERT_TRUE(sharded.result.finished);
+    EXPECT_GT(sharded.windows, 0u);
+    EXPECT_GT(sharded.messages, 0u);
 }
 
 } // namespace

@@ -42,14 +42,11 @@ struct Obs
  */
 std::vector<std::vector<Obs>>
 runTokenRing(unsigned shards, unsigned threads, Tick hop_latency,
-             std::uint64_t hops, int eot_mode = -1,
-             std::uint64_t* windows_out = nullptr)
+             std::uint64_t hops, std::uint64_t* windows_out = nullptr)
 {
     std::vector<EventQueue> queues(shards);
     std::vector<std::vector<Obs>> logs(shards);
     ShardedKernel kernel;
-    if (eot_mode >= 0)
-        kernel.setEotWidening(eot_mode != 0);
     for (unsigned i = 0; i < shards; ++i)
         kernel.addShard("ring" + std::to_string(i), queues[i]);
     for (unsigned i = 0; i < shards; ++i)
@@ -106,8 +103,7 @@ TEST(ShardKernel, TokenRingIsThreadCountInvariant)
  * thread counts changes it.
  */
 std::vector<std::uint64_t>
-runJitterChains(unsigned shards, unsigned threads, std::uint64_t steps,
-                int eot_mode = -1)
+runJitterChains(unsigned shards, unsigned threads, std::uint64_t steps)
 {
     std::vector<EventQueue> queues(shards);
     std::vector<std::uint64_t> sums(shards, 0);
@@ -116,8 +112,6 @@ runJitterChains(unsigned shards, unsigned threads, std::uint64_t steps,
         rngs.emplace_back(0x5eed + i);
 
     ShardedKernel kernel;
-    if (eot_mode >= 0)
-        kernel.setEotWidening(eot_mode != 0);
     for (unsigned i = 0; i < shards; ++i)
         kernel.addShard("chain" + std::to_string(i), queues[i]);
     for (unsigned i = 0; i < shards; ++i) {
@@ -260,20 +254,17 @@ TEST(ShardKernel, CountsWindowsAndMessages)
 }
 
 /**
- * One shard with dense local work and an idle peer: with EOT widening
- * the idle shard's outbound path reports +infinity and the busy shard
- * is the sole actor, so the whole run collapses into one window; the
- * fixed-lookahead policy pays one window per lookahead quantum.
- * Returns windows executed; @p ticks_out collects the event ticks so
- * both modes can be compared for identical behavior.
+ * One shard with dense local work and an idle peer: the idle shard's
+ * outbound path reports +infinity and the busy shard is the sole
+ * actor, so the whole run collapses into one window (a fixed
+ * lookahead-wide window would pay one per 40-tick quantum). Returns
+ * windows executed; @p ticks_out collects the executed event ticks.
  */
 std::uint64_t
-runBusyIdlePair(bool eot, Tick barrier_period,
-                std::vector<Tick>* ticks_out = nullptr)
+runBusyIdlePair(Tick barrier_period, std::vector<Tick>* ticks_out = nullptr)
 {
     EventQueue a, b;
     ShardedKernel kernel;
-    kernel.setEotWidening(eot);
     kernel.addShard("busy", a);
     kernel.addShard("idle", b);
     kernel.link(0, 1, 40);
@@ -294,15 +285,14 @@ runBusyIdlePair(bool eot, Tick barrier_period,
 
 TEST(ShardKernel, EotIdleLinkWidensToOneWindow)
 {
-    std::vector<Tick> on_ticks, off_ticks;
-    const std::uint64_t on = runBusyIdlePair(true, 0, &on_ticks);
-    const std::uint64_t off = runBusyIdlePair(false, 0, &off_ticks);
+    std::vector<Tick> ticks;
     // Sole actor, idle outbound path: the entire 40k-tick span is one
-    // window. The fixed policy pays ~one window per 40-tick quantum.
-    EXPECT_EQ(on, 1u);
-    EXPECT_GE(off, 999u);
-    // Identical executed schedule in both modes.
-    EXPECT_EQ(on_ticks, off_ticks);
+    // window.
+    EXPECT_EQ(runBusyIdlePair(0, &ticks), 1u);
+    // And the window executes the analytic schedule 0, 40, ..., 39960.
+    ASSERT_EQ(ticks.size(), 1000u);
+    for (std::size_t n = 0; n < ticks.size(); ++n)
+        EXPECT_EQ(ticks[n], 40 * n) << "event " << n;
 }
 
 TEST(ShardKernel, EotWindowsClampToBarrierEdges)
@@ -310,7 +300,7 @@ TEST(ShardKernel, EotWindowsClampToBarrierEdges)
     // Events at 0, 40, ..., 39960 with a 400-tick barrier period:
     // widening stops at every epoch edge, so exactly 100 windows of
     // 10 events each.
-    EXPECT_EQ(runBusyIdlePair(true, 400), 100u);
+    EXPECT_EQ(runBusyIdlePair(400), 100u);
 }
 
 TEST(ShardKernel, EotWideningNeverAdmitsInsideClosedWindow)
@@ -320,7 +310,6 @@ TEST(ShardKernel, EotWideningNeverAdmitsInsideClosedWindow)
     // the message instead of letting it race the target.
     EventQueue a, b;
     ShardedKernel kernel;
-    kernel.setEotWidening(true);
     kernel.addShard("a", a);
     kernel.addShard("b", b);
     kernel.link(0, 1, 50);
@@ -345,7 +334,6 @@ TEST(ShardKernel, EotHonestBoundAdmitsExactlyAtWindowEnd)
     // post at that bound is accepted and delivered on time.
     EventQueue a, b;
     ShardedKernel kernel;
-    kernel.setEotWidening(true);
     kernel.addShard("a", a);
     kernel.addShard("b", b);
     kernel.link(0, 1, 50);
@@ -362,26 +350,11 @@ TEST(ShardKernel, EotTokenRingWindowCountRegression)
 {
     // One hop per window is the conservative floor for a token ring
     // (every hop is a cross-shard message); EOT widening must stay at
-    // that floor instead of regressing to multiple windows per hop,
-    // and must execute the identical schedule as the fixed policy.
-    std::uint64_t on_windows = 0, off_windows = 0;
-    const Tick lat = 40 * kNanosecond;
-    const auto on = runTokenRing(4, 1, lat, 16, 1, &on_windows);
-    const auto off = runTokenRing(4, 1, lat, 16, 0, &off_windows);
-    EXPECT_EQ(on, off);
-    EXPECT_LE(on_windows, 18u);
-    EXPECT_LE(on_windows, off_windows);
-}
-
-TEST(ShardKernel, JitterChainsMatchAcrossEotModes)
-{
-    const auto widened = runJitterChains(6, 1, 400, 1);
-    const auto fixed = runJitterChains(6, 1, 400, 0);
-    EXPECT_EQ(widened, fixed);
-    for (unsigned threads : {2u, 4u}) {
-        EXPECT_EQ(runJitterChains(6, threads, 400, 1), widened)
-            << "threads=" << threads;
-    }
+    // that floor instead of regressing to multiple windows per hop.
+    // TokenRingMatchesAnalyticSchedule pins the executed schedule.
+    std::uint64_t windows = 0;
+    runTokenRing(4, 1, 40 * kNanosecond, 16, &windows);
+    EXPECT_LE(windows, 18u);
 }
 
 TEST(ShardKernel, DuplicateLinkDeclarationPanics)

@@ -31,6 +31,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/parallel.hh"
 #include "fuzz/fuzzer.hh"
 
@@ -130,11 +131,10 @@ main(int argc, char** argv)
         } else if (arg == "--both-fastpath") {
             opts.both_fast_path_modes = true;
         } else if (arg == "--deltas" && i + 1 < argc) {
-            opts.deltas.clear();
-            for (const char* p = argv[++i]; *p != '\0';) {
-                char* end = nullptr;
-                opts.deltas.push_back(std::strtoull(p, &end, 10));
-                p = (*end == ',') ? end + 1 : end;
+            try {
+                opts.deltas = parseUintList(argv[++i], "--deltas");
+            } catch (const FatalError&) {
+                return usage(argv[0]); // fatal() printed the reason
             }
         } else if (arg == "--threads" && i + 1 < argc) {
             threads = static_cast<unsigned>(
