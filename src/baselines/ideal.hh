@@ -144,6 +144,14 @@ class IdealController : public MemController
     }
 
     void
+    applyCrashTo(BackingStore& image) override
+    {
+        // crash() without the quiesce: staged writes survive, the
+        // device's queued ones are already in its store.
+        port_.applyStagedOnto(image);
+    }
+
+    void
     recover(std::function<void()> done) override
     {
         // Idealized: consistency is free by assumption.

@@ -20,13 +20,16 @@
  * by itself, and arming it changes no simulated behavior. A plan's
  * crash tick is therefore known from an unarmed run too: the planned
  * hit's tick (SiteStats::first_tick for hit 1, last_tick for the last
- * hit) plus the delta. For a single-channel System the fuzzer polls
- * fired() while it steps, drains every event up to crashTick(), and
- * then calls System::crash(). A multi-channel System runs on the sharded kernel,
- * which cannot be stepped against a poll, so the fuzzer runs it to a
- * crash tick known in advance: a campaign reads it from its site
- * enumeration, and a bare repro learns it from an armed profile run.
- * Either way the power failure lands on a tick boundary.
+ * hit) plus the delta. A campaign reads every case's tick from its
+ * combo's enumeration and walks the combo's cases in cut order on one
+ * unarmed life-1 System: System::runTo() to each cut, then
+ * System::crashImage(), the surviving NVM image taken without
+ * crashing, for that case's recovery. A bare repro replay runs its own
+ * life 1: a single-channel System polls fired() while it steps, drains
+ * every event up to crashTick() and calls System::crash(); a
+ * multi-channel System runs on the sharded kernel, which cannot be
+ * stepped against a poll, so it learns the tick from an armed profile
+ * run first. Either way the power failure lands on a tick boundary.
  *
  * Header-only and dependency-free (below the mem layer) so that
  * MemController can include it; the fuzz driver library proper lives

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -143,6 +144,9 @@ parseRepro(const std::string& repro, FuzzCase& out)
                 c.fast_path = (val == "on");
             } else if (key == "ch") {
                 c.channels = static_cast<unsigned>(std::stoul(val));
+                // Only topologies a System can build (0 = default).
+                if ((c.channels & (c.channels - 1)) != 0)
+                    return false;
             } else {
                 return false;
             }
@@ -210,132 +214,187 @@ makeSystemConfig(const FuzzerConfig& fc, SystemKind kind, bool fast_path,
 }
 
 // ---------------------------------------------------------------------
-// One crash case.
+// The recovery oracle.
 // ---------------------------------------------------------------------
 
 namespace {
 
 /**
- * Read the full physical image through the system's functional view.
- * Only touched pages are pulled (untouched pages read zero by the
- * touched-set contract, and the buffer starts zeroed), so capture cost
- * scales with the workload footprint, not the machine size.
+ * Streaming form of imageDigest(): FNV-1a over 64-bit words, then the
+ * tail bytes. Every add() but the last must pass a multiple of 8 bytes.
  */
-std::vector<std::uint8_t>
-captureImage(System& sys, std::size_t phys_size)
+class WordFnv
 {
-    std::vector<std::uint8_t> img(phys_size, 0);
+  public:
+    void
+    add(const std::uint8_t* p, std::size_t len)
+    {
+        const std::size_t words = len / 8;
+        for (std::size_t i = 0; i < words; ++i) {
+            std::uint64_t w;
+            std::memcpy(&w, p + 8 * i, 8);
+            h_ = (h_ ^ w) * kPrime;
+        }
+        for (std::size_t i = 8 * words; i < len; ++i)
+            h_ = (h_ ^ p[i]) * kPrime;
+    }
+
+    /**
+     * add() of @p len zero bytes in O(log len): a zero word or byte
+     * only multiplies the state by the prime, so the run multiplies it
+     * by one power of the prime.
+     */
+    void
+    addZeros(std::size_t len)
+    {
+        std::uint64_t steps = len / 8 + len % 8;
+        std::uint64_t factor = 1;
+        for (std::uint64_t b = kPrime; steps != 0; steps >>= 1, b *= b) {
+            if (steps & 1)
+                factor *= b;
+        }
+        h_ *= factor;
+    }
+
+    std::uint64_t value() const { return h_; }
+
+    /** The initial state: imageDigest() of an empty image. */
+    static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
+
+  private:
+    static constexpr std::uint64_t kPrime = 0x100000001b3ull;
+    std::uint64_t h_ = kOffsetBasis;
+};
+
+/**
+ * Sparse copy of the full physical image, read through the system's
+ * functional view. Only touched pages are pulled (untouched pages read
+ * zero by the touched-set contract), so capture cost scales with the
+ * workload footprint, not the machine size.
+ */
+PagedBytes
+capturePaged(System& sys, std::size_t phys_size)
+{
+    PagedBytes img(phys_size);
     FunctionalView view = sys.functionalView();
+    std::uint8_t buf[kPageSize];
     for (Addr page : sys.touchedPhysPages()) {
         const std::size_t len =
             std::min<std::size_t>(kPageSize, phys_size - page);
-        view(page, img.data() + page, len);
+        view(page, buf, len);
+        img.write(page, buf, len);
     }
     return img;
 }
 
-/** First differing offset of two equal-sized images, or npos. */
+/** applyStores() onto a sparse image. */
+void
+applyStores(PagedBytes& image, const std::vector<StoreRecord>& stores,
+            std::uint64_t op_limit)
+{
+    for (const StoreRecord& s : stores) {
+        if (s.op_index >= op_limit)
+            break;
+        panic_if(s.addr + s.size > image.size(),
+                 "golden store out of range");
+        image.write(s.addr, s.data.data(), s.size);
+    }
+}
+
+/**
+ * Compare @p sys's software-visible image with @p golden page by page,
+ * folding the image into @p digest exactly as imageDigest() folds the
+ * dense image. Pages that neither side touched are zero on both and
+ * cost one multiply. With @p dense non-null the image is also
+ * materialized there (runCrashCase's callers compare images).
+ *
+ * @return the first differing byte offset, or npos.
+ */
 std::size_t
-firstMismatch(const std::vector<std::uint8_t>& a,
-              const std::vector<std::uint8_t>& b)
+compareImage(System& sys, const PagedBytes& golden, std::uint64_t& digest,
+             std::vector<std::uint8_t>* dense)
 {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i] != b[i])
-            return i;
+    constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    const std::size_t phys = golden.size();
+    FunctionalView view = sys.functionalView();
+    const std::vector<Addr> touched = sys.touchedPhysPages();
+    auto next = touched.begin();
+    if (dense != nullptr)
+        dense->assign(phys, 0);
+    WordFnv fnv;
+    std::size_t mismatch = npos;
+    std::uint8_t img[kPageSize];
+    std::uint8_t gold[kPageSize];
+    for (Addr page = 0; page < phys; page += kPageSize) {
+        const std::size_t len =
+            std::min<std::size_t>(kPageSize, phys - page);
+        const bool live = next != touched.end() && *next == page;
+        if (live)
+            ++next;
+        if (!live && !golden.touched(page)) {
+            fnv.addZeros(len);
+            continue;
+        }
+        if (live)
+            view(page, img, len);
+        else
+            std::memset(img, 0, len);
+        if (mismatch == npos) {
+            golden.read(page, gold, len);
+            if (std::memcmp(img, gold, len) != 0) {
+                std::size_t i = 0;
+                while (img[i] == gold[i])
+                    ++i;
+                mismatch = page + i;
+            }
+        }
+        fnv.add(img, len);
+        if (dense != nullptr && live)
+            std::memcpy(dense->data() + page, img, len);
     }
-    return static_cast<std::size_t>(-1);
+    digest = fnv.value();
+    return mismatch;
+}
+
+/** Digests of the images the oracle checked; an image never captured
+ *  digests as empty. */
+struct Digests
+{
+    std::uint64_t recovered = WordFnv::kOffsetBasis;
+    std::uint64_t final_image = WordFnv::kOffsetBasis;
+};
+
+/** The outcome of @p r with its images already reduced to @p d. */
+CaseOutcome
+outcomeWith(const CaseResult& r, const Digests& d)
+{
+    CaseOutcome o;
+    o.status = r.status;
+    o.crash_tick = r.crash_tick;
+    o.commits_before = r.commits_before;
+    o.restored_ops = r.restored_ops;
+    o.recovered_digest = d.recovered;
+    o.final_digest = d.final_image;
+    return o;
 }
 
 /**
- * Crash tick of @p c's armed plan, learned from a full armed profile
- * run of an identical System; nullopt if the plan never fires.
+ * Life 2 of case @p c and checks A/B/C: the one oracle, shared by
+ * runCrashCase() and the campaign walk. Life 1 hands over @p base (its
+ * image right after start()), @p wl1 (its stores, and its snapshots
+ * and @p res's commit count as they stood at the cut) and @p nvm, the
+ * NVM image that survived the crash. Reboots a System on @p nvm,
+ * recovers it, checks it against a sparse golden image (a COW copy of
+ * @p base plus stores) and resumes it to the end. Fills @p res's
+ * verdict; with @p keep_images also its dense images.
  */
-std::optional<Tick>
-profileCut(const FuzzerConfig& fc, const FuzzCase& c)
+Digests
+recoverAndCheck(const FuzzerConfig& fc, const FuzzCase& c,
+                const PagedBytes& base, const RecordingWorkload& wl1,
+                std::shared_ptr<BackingStore> nvm, bool keep_images,
+                CaseResult& res)
 {
-    CrashPointRegistry reg;
-    reg.arm(c.site, c.hit, c.delta);
-    MicroWorkload inner(microParams(fc, c.seed, c.workload));
-    RecordingWorkload wl(inner);
-    SystemConfig cfg = makeSystemConfig(fc, c.system, c.fast_path,
-                                        c.channels);
-    cfg.crash_points = &reg;
-    System sys(cfg, wl);
-    sys.start();
-    sys.run(fc.run_limit);
-    if (!reg.fired())
-        return std::nullopt;
-    return reg.crashTick();
-}
-
-/**
- * One crash case. @p planned_cut is the multi-channel crash tick when
- * the caller already knows it (a campaign, from its site enumeration);
- * without it the tick comes from profileCut(). Single-channel cases
- * ignore it and poll the armed registry instead.
- */
-CaseResult
-runCase(const FuzzerConfig& fc, const FuzzCase& c,
-        std::optional<Tick> planned_cut)
-{
-    CaseResult res;
-    res.repro = formatRepro(c);
-
-    const unsigned env_ch = channelsFromEnv();
-    const unsigned eff_channels =
-        c.channels != 0 ? c.channels : (env_ch != 0 ? env_ch : 1);
-
-    // Life 1: run the seeded workload into the armed crash plan.
-    MicroWorkload inner1(microParams(fc, c.seed, c.workload));
-    RecordingWorkload wl1(inner1);
-    SystemConfig cfg = makeSystemConfig(fc, c.system, c.fast_path,
-                                        c.channels);
-    CrashPointRegistry reg;
-    reg.arm(c.site, c.hit, c.delta);
-    cfg.crash_points = &reg;
-    System sys(cfg, wl1);
-    std::vector<std::uint8_t> base;
-    std::shared_ptr<BackingStore> nvm;
-
-    if (eff_channels == 1) {
-        sys.start();
-        base = captureImage(sys, fc.phys_size);
-        EventQueue& eq = sys.eventq();
-        while (!sys.finished() && !reg.fired() && !eq.empty() &&
-               eq.now() < fc.run_limit) {
-            eq.step();
-        }
-        if (!reg.fired()) {
-            res.status = CaseStatus::NotReached;
-            return res;
-        }
-        // Land the power failure on a tick boundary: drain every event
-        // at or before the planned crash tick, then pull the plug.
-        while (!eq.empty() && eq.nextTick() <= reg.crashTick())
-            eq.step();
-        res.crash_tick = eq.now();
-        res.commits_before = sys.controller().completedEpochs();
-        nvm = sys.crash();
-    } else {
-        // A multi-channel run executes on the sharded kernel, which
-        // cannot be single-stepped against a fired() poll. Instead it
-        // takes the crash tick as known in advance and replays a fresh
-        // machine (the oracle's life 1) deterministically up to it.
-        const std::optional<Tick> cut =
-            planned_cut ? planned_cut : profileCut(fc, c);
-        if (!cut || *cut >= fc.run_limit) {
-            res.status = CaseStatus::NotReached;
-            return res;
-        }
-        sys.start();
-        base = captureImage(sys, fc.phys_size);
-        sys.runTo(*cut);
-        res.crash_tick = sys.eventq().now();
-        res.commits_before = sys.controller().completedEpochs();
-        nvm = sys.crash();
-    }
-
-    // Life 2: reboot on the surviving NVM image and recover.
+    Digests d;
     MicroWorkload inner2(microParams(fc, c.seed, c.workload));
     RecordingWorkload wl2(inner2);
     SystemConfig cfg2 = makeSystemConfig(fc, c.system, c.fast_path,
@@ -372,22 +431,23 @@ runCase(const FuzzerConfig& fc, const FuzzCase& c,
            << res.commits_before << ")";
         res.status = CaseStatus::Violation;
         res.detail = os.str();
-        return res;
+        return d;
     }
 
     // Check A: recovered image == golden image of the restored epoch.
-    std::vector<std::uint8_t> golden = std::move(base);
+    PagedBytes golden = base;
     applyStores(golden, wl1.stores(), restored);
-    res.recovered_image = captureImage(sys2, fc.phys_size);
-    if (res.recovered_image != golden) {
-        const std::size_t off = firstMismatch(res.recovered_image, golden);
+    std::size_t off =
+        compareImage(sys2, golden, d.recovered,
+                     keep_images ? &res.recovered_image : nullptr);
+    if (off != static_cast<std::size_t>(-1)) {
         std::ostringstream os;
         os << "recovered image diverges from the golden epoch image at "
            << "offset 0x" << std::hex << off << std::dec
            << " (restored ops " << restored << ")";
         res.status = CaseStatus::Violation;
         res.detail = os.str();
-        return res;
+        return d;
     }
 
     // Check C: resume and run to completion; the final image must be
@@ -397,29 +457,164 @@ runCase(const FuzzerConfig& fc, const FuzzCase& c,
         res.status = CaseStatus::Violation;
         res.detail = "resumed execution did not complete within the "
                      "run limit";
-        return res;
+        return d;
     }
     applyStores(golden, wl2.stores(), ~0ull);
-    res.final_image = captureImage(sys2, fc.phys_size);
-    if (res.final_image != golden) {
-        const std::size_t off = firstMismatch(res.final_image, golden);
+    off = compareImage(sys2, golden, d.final_image,
+                       keep_images ? &res.final_image : nullptr);
+    if (off != static_cast<std::size_t>(-1)) {
         std::ostringstream os;
         os << "final image after resume diverges from the golden image "
            << "at offset 0x" << std::hex << off << std::dec;
         res.status = CaseStatus::Violation;
         res.detail = os.str();
-        return res;
     }
+    return d;
+}
 
-    return res;
+/**
+ * Crash tick of @p c's armed plan, learned from a full armed profile
+ * run of an identical System; nullopt if the plan never fires.
+ */
+std::optional<Tick>
+profileCut(const FuzzerConfig& fc, const FuzzCase& c)
+{
+    CrashPointRegistry reg;
+    reg.arm(c.site, c.hit, c.delta);
+    MicroWorkload inner(microParams(fc, c.seed, c.workload));
+    RecordingWorkload wl(inner);
+    SystemConfig cfg = makeSystemConfig(fc, c.system, c.fast_path,
+                                        c.channels);
+    cfg.crash_points = &reg;
+    System sys(cfg, wl);
+    sys.start();
+    sys.run(fc.run_limit);
+    if (!reg.fired())
+        return std::nullopt;
+    return reg.crashTick();
+}
+
+/** True when @p a and @p b share life 1: same seed, workload, system,
+ *  fast-path mode and topology. */
+bool
+sameLifeOne(const FuzzCase& a, const FuzzCase& b)
+{
+    return a.seed == b.seed && a.workload == b.workload &&
+           a.system == b.system && a.fast_path == b.fast_path &&
+           a.channels == b.channels;
 }
 
 } // namespace
 
+// ---------------------------------------------------------------------
+// One crash case, and one walk.
+// ---------------------------------------------------------------------
+
 CaseResult
 runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
 {
-    return runCase(fc, c, std::nullopt);
+    CaseResult res;
+    res.repro = formatRepro(c);
+
+    // Life 1: run the seeded workload into the armed crash plan.
+    MicroWorkload inner1(microParams(fc, c.seed, c.workload));
+    RecordingWorkload wl1(inner1);
+    SystemConfig cfg = makeSystemConfig(fc, c.system, c.fast_path,
+                                        c.channels);
+    CrashPointRegistry reg;
+    reg.arm(c.site, c.hit, c.delta);
+    cfg.crash_points = &reg;
+    System sys(cfg, wl1);
+
+    // A multi-channel run executes on the sharded kernel, which cannot
+    // be single-stepped against a fired() poll. Instead it learns the
+    // crash tick from an armed profile run and replays a fresh machine
+    // deterministically up to it.
+    std::optional<Tick> cut;
+    if (sys.channels() > 1) {
+        cut = profileCut(fc, c);
+        if (!cut || *cut >= fc.run_limit) {
+            res.status = CaseStatus::NotReached;
+            return res;
+        }
+    }
+    sys.start();
+    const PagedBytes base = capturePaged(sys, fc.phys_size);
+    if (!cut) {
+        EventQueue& eq = sys.eventq();
+        while (!sys.finished() && !reg.fired() && !eq.empty() &&
+               eq.now() < fc.run_limit) {
+            eq.step();
+        }
+        if (!reg.fired()) {
+            res.status = CaseStatus::NotReached;
+            return res;
+        }
+        cut = reg.crashTick();
+    }
+    // Land the power failure on a tick boundary: run every event at or
+    // before the planned crash tick, then pull the plug.
+    sys.runTo(*cut);
+    res.crash_tick = sys.eventq().now();
+    res.commits_before = sys.controller().completedEpochs();
+    recoverAndCheck(fc, c, base, wl1, sys.crash(), true, res);
+    return res;
+}
+
+WalkResult
+runCrashWalk(const FuzzerConfig& fc, std::span<const FuzzCase> cases,
+             std::span<const Tick> cuts, bool keep_images)
+{
+    panic_if(cuts.size() != cases.size(),
+             "crash walk: %zu cases but %zu cuts", cases.size(),
+             cuts.size());
+    WalkResult w;
+    w.results.resize(cases.size());
+    w.outcomes.resize(cases.size());
+    if (cases.empty())
+        return w;
+    const FuzzCase& c0 = cases.front();
+    for (const FuzzCase& c : cases) {
+        panic_if(!sameLifeOne(c, c0),
+                 "crash walk mixes life-1 combos: %s vs %s",
+                 formatRepro(c).c_str(), formatRepro(c0).c_str());
+    }
+    std::vector<std::size_t> order(cases.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cuts[a] < cuts[b];
+                     });
+
+    // Life 1, once: no registry is attached (the cuts are known, and
+    // an unarmed run behaves identically to an armed one).
+    MicroWorkload inner(microParams(fc, c0.seed, c0.workload));
+    RecordingWorkload wl(inner);
+    System sys(makeSystemConfig(fc, c0.system, c0.fast_path, c0.channels),
+               wl);
+    sys.start();
+    const PagedBytes base = capturePaged(sys, fc.phys_size);
+    for (std::size_t i : order) {
+        CaseResult& res = w.results[i];
+        res.repro = formatRepro(cases[i]);
+        // runCrashCase's multi-channel rule: a cut at or past the run
+        // limit is never reached.
+        if (sys.channels() > 1 && cuts[i] >= fc.run_limit) {
+            res.status = CaseStatus::NotReached;
+            w.outcomes[i] = outcomeWith(res, Digests{});
+            continue;
+        }
+        sys.runTo(cuts[i]);
+        res.crash_tick = sys.eventq().now();
+        res.commits_before = sys.controller().completedEpochs();
+        // Life 2 runs before life 1 moves on, so check B reads the
+        // snapshot list as it stood at the cut.
+        const Digests d = recoverAndCheck(fc, cases[i], base, wl,
+                                          sys.crashImage(), keep_images,
+                                          res);
+        w.outcomes[i] = outcomeWith(res, d);
+    }
+    return w;
 }
 
 std::uint64_t
@@ -428,30 +623,16 @@ imageDigest(const std::vector<std::uint8_t>& image)
     // FNV-1a steps over 64-bit words, then the tail bytes: an eighth of
     // the multiplies of the bytewise hash, and each step is still a
     // bijection of the state, so any single-word change shows.
-    constexpr std::uint64_t kPrime = 0x100000001b3ull;
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const std::size_t words = image.size() / 8;
-    for (std::size_t i = 0; i < words; ++i) {
-        std::uint64_t w;
-        std::memcpy(&w, image.data() + 8 * i, 8);
-        h = (h ^ w) * kPrime;
-    }
-    for (std::size_t i = 8 * words; i < image.size(); ++i)
-        h = (h ^ image[i]) * kPrime;
-    return h;
+    WordFnv fnv;
+    fnv.add(image.data(), image.size());
+    return fnv.value();
 }
 
 CaseOutcome
 outcomeOf(const CaseResult& r)
 {
-    CaseOutcome o;
-    o.status = r.status;
-    o.crash_tick = r.crash_tick;
-    o.commits_before = r.commits_before;
-    o.restored_ops = r.restored_ops;
-    o.recovered_digest = imageDigest(r.recovered_image);
-    o.final_digest = imageDigest(r.final_image);
-    return o;
+    return outcomeWith(r, Digests{imageDigest(r.recovered_image),
+                                  imageDigest(r.final_image)});
 }
 
 // ---------------------------------------------------------------------
@@ -524,8 +705,11 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
     // at exactly the tick the enumeration recorded for it.
     std::vector<FuzzCase> plan;
     std::vector<Tick> cuts;
+    // Combo i's cases are plan[first_case[i], first_case[i + 1]).
+    std::vector<std::size_t> first_case;
     for (std::size_t i = 0; i < combos.size(); ++i) {
         const Combo& co = combos[i];
+        first_case.push_back(plan.size());
         auto& reached = result.sites_by_system[systemToken(co.kind)];
         for (const auto& [site, stats] : sites[i]) {
             reached.insert(site);
@@ -552,19 +736,27 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
         }
     }
 
-    // Phase 4: run the crash cases, fanned across threads. Each worker
-    // reduces its case's images to digests at once, so the campaign
-    // never holds more than one case's images per worker.
+    first_case.push_back(plan.size());
+
+    // Phase 4: one walk per combo, fanned across threads. A walk runs
+    // its combo's life 1 once, in cut order, and at each cut hands the
+    // surviving image to that case's life 2 (runCrashWalk). It keeps
+    // digests, never images, so a worker holds at most two Systems and
+    // two sparse images at a time.
     std::vector<CaseResult> case_results(plan.size());
     result.outcomes.resize(plan.size());
     parallelFor(
-        plan.size(),
+        combos.size(),
         [&](std::size_t i) {
-            CaseResult r = runCase(fc, plan[i], cuts[i]);
-            result.outcomes[i] = outcomeOf(r);
-            r.recovered_image = std::vector<std::uint8_t>();
-            r.final_image = std::vector<std::uint8_t>();
-            case_results[i] = std::move(r);
+            const std::size_t lo = first_case[i];
+            const std::size_t n = first_case[i + 1] - lo;
+            WalkResult w =
+                runCrashWalk(fc, std::span(plan).subspan(lo, n),
+                             std::span(cuts).subspan(lo, n), false);
+            for (std::size_t k = 0; k < n; ++k) {
+                case_results[lo + k] = std::move(w.results[k]);
+                result.outcomes[lo + k] = w.outcomes[k];
+            }
         },
         threads);
 

@@ -18,6 +18,11 @@
  *      completion, and the final image must equal the golden prefix
  *      plus every store recorded after recovery.
  *
+ * The golden image is sparse: a copy-on-write PagedBytes copy of the
+ * base image plus the stores, compared page by page. Checks A/B/C are
+ * written once (the oracle in fuzzer.cc) and shared by runCrashCase()
+ * and runCrashWalk().
+ *
  * Every failing case prints a one-line repro string that replays the
  * identical crash deterministically (see formatRepro()).
  */
@@ -29,6 +34,7 @@
 #include <iosfwd>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -206,22 +212,27 @@ struct CaseResult
     Tick crash_tick = 0;
     std::uint64_t commits_before = 0;
     std::uint64_t restored_ops = 0;
-    /** Memory image right after recovery (empty if NotReached). */
+    /**
+     * Memory image right after recovery. Empty if NotReached, and in
+     * every case of a walk that keeps no images (campaigns keep only
+     * digests, in CaseOutcome).
+     */
     std::vector<std::uint8_t> recovered_image;
-    /** Memory image after resumed execution finished. */
+    /** Memory image after resumed execution finished (same rule). */
     std::vector<std::uint8_t> final_image;
 };
 
 /**
  * Run one crash case end to end against the oracle, replaying it from
- * its repro alone.
+ * its repro alone, and keep its recovered and final images.
  *
  * A single-channel case single-steps life 1 until the armed plan
  * fires. A multi-channel case runs on the sharded kernel, which cannot
  * be stepped against a fired() poll, so it first runs an identical
  * armed profile System to learn the crash tick, then replays life 1 up
- * to that tick. Campaigns skip that profile run: they already know
- * every planned case's tick from the site enumeration (runCampaign).
+ * to that tick. Either way life 1 ends in System::crash(). Campaigns
+ * do neither: they know every case's tick from the site enumeration
+ * and walk each combo's cases on one life 1 (runCrashWalk).
  */
 CaseResult runCrashCase(const FuzzerConfig& fc, const FuzzCase& c);
 
@@ -242,6 +253,34 @@ struct CaseOutcome
 
 /** The outcome of @p r, with its images reduced to digests. */
 CaseOutcome outcomeOf(const CaseResult& r);
+
+/** Every case of one walk, in input order. */
+struct WalkResult
+{
+    /** Verdicts; images only when the walk was asked to keep them. */
+    std::vector<CaseResult> results;
+    std::vector<CaseOutcome> outcomes;
+};
+
+/**
+ * Run crash cases that share one life 1 — the same seed, workload,
+ * system, fast-path mode and topology — on a single life-1 System.
+ * Case i crashes at tick @p cuts[i]. The walk takes the cases in
+ * stable cut order: it runs life 1 to each cut with System::runTo(),
+ * takes the surviving image with System::crashImage(), and runs that
+ * case's life 2 and checks before life 1 moves on. Each case reaches
+ * the verdict, crash tick and digests that runCrashCase() reaches for
+ * its repro when the cut is the plan's. A multi-channel cut at or past
+ * the run limit is NotReached, as in runCrashCase().
+ *
+ * @param keep_images also materialize each case's recovered and final
+ *        images in its CaseResult (tests compare them); campaigns keep
+ *        only the digests.
+ */
+WalkResult runCrashWalk(const FuzzerConfig& fc,
+                        std::span<const FuzzCase> cases,
+                        std::span<const Tick> cuts,
+                        bool keep_images = false);
 
 /** Per-site hit statistics of one run, keyed by site name. */
 using SiteMap = std::map<std::string, CrashPointRegistry::SiteStats>;
@@ -306,13 +345,15 @@ struct CampaignResult
  * mode), then crash at each planned (site, hit, delta). A planned case
  * crashes at tick (first or last hit's tick) + delta, read from the
  * enumeration of its combo, so no case repeats the profile run that
- * runCrashCase() needs for a bare repro. Violations are printed to
- * @p log (if non-null) in plan order, one repro string per line.
+ * runCrashCase() needs for a bare repro. Each combo's cases then run
+ * as one walk (runCrashWalk): one life 1, checkpointed at every cut.
+ * Violations are printed to @p log (if non-null) in plan order, one
+ * repro string per line.
  *
- * @param threads fan cases across this many host workers (each case
+ * @param threads fan combos across this many host workers (each walk
  *        owns its Systems outright). The campaign result — counts,
- *        violation list, site map, repro strings, log stream — is
- *        byte-identical for any thread count.
+ *        violation list, site map, repro strings, outcomes, log
+ *        stream — is byte-identical for any thread count.
  */
 CampaignResult runCampaign(const FuzzerConfig& fc,
                            const CampaignOptions& opts, std::ostream* log,

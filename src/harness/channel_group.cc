@@ -408,6 +408,15 @@ ChannelGroup::crash()
     cpu_blob_.clear();
 }
 
+void
+ChannelGroup::applyCrashTo(BackingStore& image)
+{
+    // Every channel's store is a view slice of root_store_, so each
+    // channel's devices address the copy of the root directly.
+    for (auto& ch : chs_)
+        ch->ctrl->applyCrashTo(image);
+}
+
 std::uint64_t
 ChannelGroup::committedEpoch() const
 {
@@ -560,9 +569,11 @@ void
 ChannelGroup::registerShards(ShardedKernel& kernel, unsigned core_shard,
                              Tick limit, Tick cut)
 {
+    // halt_posted_ survives re-registration: a run resumed after the
+    // workload finished must not post the halt again from the core's
+    // stale tick. Only start() and crash() reset it.
     kernel_ = &kernel;
     core_shard_ = core_shard;
-    halt_posted_ = false;
     for (auto& chp : chs_) {
         Channel* ch = chp.get();
         EventQueue* eq = ch->eq.get();

@@ -117,6 +117,7 @@ class ChannelGroup : public MemController
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void start() override;
     void crash() override;
+    void applyCrashTo(BackingStore& image) override;
     void recover(std::function<void()> done) override;
     std::uint64_t committedEpoch() const override;
     void requestEpochEnd() override;

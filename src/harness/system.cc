@@ -325,6 +325,14 @@ System::crash()
     return nvm;
 }
 
+std::shared_ptr<BackingStore>
+System::crashImage()
+{
+    auto image = controller_->nvmStoreHandle()->clone();
+    controller_->applyCrashTo(*image);
+    return image;
+}
+
 void
 System::dumpStats(std::ostream& os)
 {

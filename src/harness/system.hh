@@ -148,7 +148,9 @@ class System
      * Deterministically execute exactly the events with tick <= @p cut
      * (the fuzzer's crash-cut replay). Multi-channel topologies run a
      * bounded kernel; the executed prefix is identical to a full run
-     * truncated at @p cut.
+     * truncated at @p cut. Calls may be chained with rising cuts and
+     * followed by run(): the chain executes the same events as one
+     * uninterrupted run.
      */
     void runTo(Tick cut);
 
@@ -173,6 +175,16 @@ class System
      * used afterwards (except for inspection of stats).
      */
     std::shared_ptr<BackingStore> crash();
+
+    /**
+     * The NVM contents crash() would hand back right now, without
+     * crashing: a copy-on-write clone of the surviving root store with
+     * the controller's crash effect applied to the clone (every NVM
+     * device's unserviced writes undone; an ideal controller's staged
+     * writes kept). This System runs on unchanged, so one run can hand
+     * out the surviving image at many cuts.
+     */
+    std::shared_ptr<BackingStore> crashImage();
 
     /** Zero-time read of current architectural memory (via caches). */
     FunctionalView functionalView();

@@ -71,6 +71,9 @@ class BackingStore
     /** Capacity in bytes. */
     std::size_t size() const { return size_; }
 
+    /** Offset of this store's first byte in its root (0 for a root). */
+    std::size_t rootOffset() const { return offset_; }
+
     /** Read @p len bytes at @p addr into @p buf. */
     void
     read(Addr addr, void* buf, std::size_t len) const

@@ -161,6 +161,22 @@ class MemController : public SimObject, public BlockAccessor
     virtual void crash() = 0;
 
     /**
+     * Non-destructive twin of crash() for the surviving NVM contents:
+     * apply to @p image — a copy of the root store behind
+     * nvmStoreHandle() — exactly what crash() does to that store, and
+     * leave this controller running. The default replays the NVM
+     * device's undo log (its queued writes are lost); the ideal
+     * controllers keep their staged writes instead, and the channel
+     * group visits every channel.
+     */
+    virtual void
+    applyCrashTo(BackingStore& image)
+    {
+        if (MemDevice* d = nvmDevice())
+            d->replayUndoOnto(image);
+    }
+
+    /**
      * Rebuild a consistent software-visible memory image from durable
      * NVM state after crash(). Timed recovery traffic is modeled.
      * @param done fires when the system is ready to resume execution.

@@ -321,16 +321,28 @@ MemDevice::notifyWhenWritesDrained(std::function<void()> cb)
 }
 
 void
-MemDevice::crash()
+MemDevice::replayUndo(BackingStore& dst, Addr offset) const
 {
-    // Replay the undo log newest-first, skipping entries whose write was
-    // serviced (durable); each applied pre-image restores the bytes
-    // present when that write was enqueued.
+    // Newest-first, skipping entries whose write was serviced
+    // (durable); each applied pre-image restores the bytes present
+    // when that write was enqueued.
     for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
         if (it->slot != kNullSlot)
-            store_->write(it->addr, it->old_data.data(), kBlockSize);
+            dst.write(offset + it->addr, it->old_data.data(), kBlockSize);
     }
+}
+
+void
+MemDevice::crash()
+{
+    replayUndo(*store_, 0);
     quiesce();
+}
+
+void
+MemDevice::replayUndoOnto(BackingStore& image) const
+{
+    replayUndo(image, store_->rootOffset());
 }
 
 void

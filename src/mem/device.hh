@@ -133,6 +133,14 @@ class MemDevice : public SimObject
     void crash();
 
     /**
+     * Non-destructive twin of crash(): replay the same undo entries,
+     * newest-first, onto @p image — a copy of the root store this
+     * device's store belongs to, so entries land at rootOffset() +
+     * addr. The device itself is left untouched.
+     */
+    void replayUndoOnto(BackingStore& image) const;
+
+    /**
      * Drop all queued requests and callbacks but keep the functional
      * contents (no rollback). Used by the idealized systems, whose
      * crash consistency is free by assumption.
@@ -214,6 +222,9 @@ class MemDevice : public SimObject
     std::uint32_t scanForRow(std::uint32_t from, std::uint64_t row) const;
     /** Drop dead entries once the undo log outgrows its watermark. */
     void compactUndoLog();
+    /** Write every live undo entry, newest-first, to @p dst at
+     *  @p offset + its address. */
+    void replayUndo(BackingStore& dst, Addr offset) const;
 
     /** Try to start servicing queued requests; schedules completions. */
     void trySchedule();

@@ -167,9 +167,19 @@ class DevicePort
     void
     quiesce()
     {
-        for (auto& item : write_fifo_)
-            dev_.store().write(item.addr, item.data.data(), kBlockSize);
+        applyStaged(dev_.store(), 0);
         crash();
+    }
+
+    /**
+     * Non-destructive twin of quiesce() for the stored bytes: apply
+     * every staged write, oldest-first, to @p image — a copy of the
+     * root store the device's store belongs to. The port is untouched.
+     */
+    void
+    applyStagedOnto(BackingStore& image) const
+    {
+        applyStaged(image, dev_.store().rootOffset());
     }
 
     /** Drop all staged requests (power loss). */
@@ -186,6 +196,13 @@ class DevicePort
     }
 
   private:
+    void
+    applyStaged(BackingStore& dst, Addr offset) const
+    {
+        for (const auto& item : write_fifo_)
+            dst.write(offset + item.addr, item.data.data(), kBlockSize);
+    }
+
     struct ReadItem
     {
         Addr addr = 0;

@@ -89,7 +89,7 @@ class MicroWorkload : public Workload
     {
         std::vector<std::uint8_t> blob(sizeof(State));
         State s{rng_, issued_, cursor_, window_base_, window_count_,
-                compute_emitted_};
+                compute_emitted_ ? 1u : 0u};
         std::memcpy(blob.data(), &s, sizeof(s));
         return blob;
     }
@@ -98,14 +98,14 @@ class MicroWorkload : public Workload
     restore(const std::vector<std::uint8_t>& blob) override
     {
         panic_if(blob.size() != sizeof(State), "bad micro snapshot");
-        State s{rng_, 0, 0, 0, 0, false};
+        State s{rng_, 0, 0, 0, 0, 0};
         std::memcpy(&s, blob.data(), sizeof(s));
         rng_ = s.rng;
         issued_ = s.issued;
         cursor_ = s.cursor;
         window_base_ = s.window_base;
         window_count_ = s.window_count;
-        compute_emitted_ = s.compute_emitted;
+        compute_emitted_ = s.compute_emitted != 0;
     }
 
     /** Memory accesses issued so far. */
@@ -119,7 +119,9 @@ class MicroWorkload : public Workload
         std::uint64_t cursor;
         std::uint64_t window_base;
         std::uint64_t window_count;
-        bool compute_emitted;
+        /** A word, not a bool: a bool's padding bytes would carry
+         *  stack garbage into the persisted snapshot blob. */
+        std::uint64_t compute_emitted;
     };
 
     Addr

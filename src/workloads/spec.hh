@@ -116,7 +116,7 @@ class SpecWorkload : public Workload
     snapshot() const override
     {
         std::vector<std::uint8_t> blob(sizeof(State));
-        State s{rng_, retired_, cursor_, compute_emitted_};
+        State s{rng_, retired_, cursor_, compute_emitted_ ? 1u : 0u};
         std::memcpy(blob.data(), &s, sizeof(s));
         return blob;
     }
@@ -125,12 +125,12 @@ class SpecWorkload : public Workload
     restore(const std::vector<std::uint8_t>& blob) override
     {
         panic_if(blob.size() != sizeof(State), "bad spec snapshot");
-        State s{rng_, 0, 0, false};
+        State s{rng_, 0, 0, 0};
         std::memcpy(&s, blob.data(), sizeof(s));
         rng_ = s.rng;
         retired_ = s.retired;
         cursor_ = s.cursor;
-        compute_emitted_ = s.compute_emitted;
+        compute_emitted_ = s.compute_emitted != 0;
     }
 
     /** Instructions retired by the generator's own accounting. */
@@ -142,7 +142,9 @@ class SpecWorkload : public Workload
         Rng rng;
         std::uint64_t retired;
         std::uint64_t cursor;
-        bool compute_emitted;
+        /** A word, not a bool: a bool's padding bytes would carry
+         *  stack garbage into the persisted snapshot blob. */
+        std::uint64_t compute_emitted;
     };
 
     SpecProfile p_;

@@ -293,6 +293,29 @@ TEST(IdealTest, CrashIsFree)
     EXPECT_EQ(loadBlock(eq, ctrl, 0), data);
 }
 
+TEST(IdealTest, CrashImageKeepsStagedWrites)
+{
+    EventQueue eq;
+    IdealController ctrl(eq, "ctrl", 64 * 1024, false);
+    // More writes than the device queue holds: the rest stay staged at
+    // the port, and an ideal crash keeps them.
+    for (unsigned i = 0; i < 100; ++i) {
+        const auto data = patternBlock(i);
+        ctrl.accessBlock(i * kBlockSize, true, data.data(), nullptr,
+                         TrafficSource::CpuWriteback, [] {});
+    }
+    const auto image = ctrl.nvmStoreHandle()->clone();
+    ctrl.applyCrashTo(*image);
+    ctrl.crash();
+    for (unsigned i = 0; i < 100; ++i) {
+        std::array<std::uint8_t, kBlockSize> out{};
+        image->read(i * kBlockSize, out.data(), kBlockSize);
+        EXPECT_EQ(out, patternBlock(i)) << "block " << i;
+        ctrl.nvmStoreHandle()->read(i * kBlockSize, out.data(), kBlockSize);
+        EXPECT_EQ(out, patternBlock(i)) << "block " << i;
+    }
+}
+
 TEST(IdealTest, FunctionalReadMatchesTimedRead)
 {
     EventQueue eq;

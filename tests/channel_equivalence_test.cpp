@@ -20,6 +20,11 @@
  *     and its dumpStats() and final tick are byte-identical to the
  *     serial (threads = 1) stepping of the same topology at every
  *     worker thread count.
+ *
+ *  3. What the crash fuzzer's walk relies on, at every topology: a
+ *     chain of runTo() cuts followed by run() is one uninterrupted
+ *     run, and System::crashImage() at a cut holds exactly the bytes
+ *     System::crash() hands back at that cut.
  */
 
 #include "tests/test_util.hh"
@@ -32,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/fuzzer.hh"
 #include "harness/system.hh"
 #include "workloads/kvstore.hh"
 #include "workloads/micro.hh"
@@ -299,6 +305,142 @@ TEST(ChannelEquivalence, CoordinatedEpochsComplete)
                           .nvmTotalWriteBytes();
         }
         EXPECT_EQ(m.nvm_wr_total, per_ch) << kindToken(kind);
+    }
+}
+
+/**
+ * runTo() resumes: a chain of rising cuts, the last ones past the
+ * CPU's finish, followed by run() gives the final tick and dumpStats()
+ * of one uninterrupted run. Runs on the crash fuzzer's configuration,
+ * whose short epochs leave ThyNVM checkpointing when the CPU finishes:
+ * channel messages then wait at the core for good, so every resumed
+ * kernel steps the core shard, and must not post the channel halt a
+ * second time from the core's stale tick.
+ */
+TEST(ChannelEquivalence, ChainedRunToMatchesOneRun)
+{
+    const fuzz::FuzzerConfig fc;
+    for (SystemKind kind : allKinds()) {
+        for (unsigned channels : {2u, 4u}) {
+            SystemConfig cfg =
+                fuzz::makeSystemConfig(fc, kind, true, channels);
+            cfg.sim_threads = 1;
+            const std::string what = std::string(kindToken(kind)) +
+                                     " channels=" + std::to_string(channels);
+            const MicroWorkload::Params mp =
+                fuzz::microParams(fc, 1, "rand");
+
+            MicroWorkload wl0(mp);
+            System whole(cfg, wl0);
+            whole.start();
+            const Tick end = whole.run(fc.run_limit);
+            ASSERT_TRUE(whole.finished()) << what;
+            std::ostringstream want;
+            whole.dumpStats(want);
+
+            MicroWorkload wl(mp);
+            System sys(cfg, wl);
+            sys.start();
+            for (Tick cut : {end / 3, 2 * end / 3, end + kMicrosecond,
+                             end + 10 * kMicrosecond,
+                             end + 250 * kMicrosecond})
+                sys.runTo(cut);
+            EXPECT_TRUE(sys.finished()) << what;
+            EXPECT_EQ(sys.run(fc.run_limit), end) << what;
+            std::ostringstream got;
+            sys.dumpStats(got);
+            EXPECT_EQ(got.str(), want.str())
+                << what << ": chained runTo() diverged from one run";
+        }
+    }
+}
+
+/** True when some channel's durable device has writes queued. */
+bool
+writesQueued(System& sys)
+{
+    const auto queued = [](MemController& c) {
+        MemDevice* d = c.nvmDevice() != nullptr ? c.nvmDevice()
+                                                : c.dramDevice();
+        return d != nullptr && !d->writesDrained();
+    };
+    if (sys.channels() == 1)
+        return queued(sys.controller());
+    auto& grp = static_cast<ChannelGroup&>(sys.controller());
+    for (unsigned i = 0; i < sys.channels(); ++i) {
+        if (queued(grp.channelController(i)))
+            return true;
+    }
+    return false;
+}
+
+/**
+ * System::crashImage() is crash() without the crash: one System walks
+ * a grid of cuts, and at every eighth cut, and at the first three cuts
+ * that find writes queued at a device, its image must equal the store
+ * crash() hands back from a fresh System run to the same cut — all
+ * seven kinds, at 1, 2 and 4 channels. Queued writes are undone by the
+ * crash of a checkpointing kind and survive that of an ideal kind,
+ * whose device applies a write to its store at enqueue. A store-only
+ * workload behind tiny caches keeps the write queues busy; the test
+ * asserts it found queued writes. It never fills a device queue, so no
+ * write waits staged at an ideal port here; IdealTest's
+ * CrashImageKeepsStagedWrites pins those at the controller.
+ */
+TEST(ChannelEquivalence, CrashImageMatchesCrash)
+{
+    MicroWorkload::Params mp;
+    mp.pattern = MicroWorkload::Pattern::Random;
+    mp.base = 0;
+    mp.array_bytes = 1u << 20;
+    mp.access_size = 64;
+    mp.read_fraction = 0.0;
+    mp.total_accesses = 1500;
+    mp.seed = 3;
+    constexpr unsigned kGrid = 32;
+
+    for (SystemKind kind : allKinds()) {
+        for (unsigned channels : {1u, 2u, 4u}) {
+            SystemConfig cfg = smallConfig(kind);
+            cfg.channels = channels;
+            cfg.epoch_length = 50 * kMicrosecond;
+            cfg.sim_threads = 1;
+            cfg.l1 = Cache::Params{4 * 1024, 4, 4 * 333};
+            cfg.l2 = Cache::Params{16 * 1024, 8, 12 * 333};
+            cfg.l3 = Cache::Params{32 * 1024, 8, 28 * 333};
+            const std::string what = std::string(kindToken(kind)) +
+                                     " channels=" + std::to_string(channels);
+
+            MicroWorkload wl0(mp);
+            System probe(cfg, wl0);
+            probe.start();
+            const Tick end = probe.run(20 * kSecond);
+            ASSERT_TRUE(probe.finished()) << what;
+
+            MicroWorkload wl(mp);
+            System walk(cfg, wl);
+            walk.start();
+            unsigned queued_cuts = 0;
+            for (unsigned k = 1; k <= kGrid; ++k) {
+                const Tick cut = end * k / (kGrid + 1);
+                walk.runTo(cut);
+                const bool queued = writesQueued(walk);
+                if (!(queued && queued_cuts < 3) && k % 8 != 0)
+                    continue;
+                queued_cuts += queued ? 1 : 0;
+                const auto image = walk.crashImage();
+
+                MicroWorkload wl2(mp);
+                System fresh(cfg, wl2);
+                fresh.start();
+                fresh.runTo(cut);
+                const auto nvm = fresh.crash();
+                EXPECT_TRUE(test::sameBytes(*image, *nvm))
+                    << what << " cut=" << cut;
+            }
+            EXPECT_GT(queued_cuts, 0u)
+                << what << ": no cut found writes queued at a device";
+        }
     }
 }
 

@@ -211,5 +211,26 @@ TEST(CliTest, RejectsMalformedListsInsteadOfLooping)
     }
 }
 
+TEST(CliTest, ParsesUnsignedScalars)
+{
+    EXPECT_EQ(parseUint("0", "--x"), 0u);
+    EXPECT_EQ(parseUint("42", "--x"), 42u);
+    EXPECT_EQ(parseUint("18446744073709551615", "--x"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseUint("4294967295", "--x", 4294967295ull),
+              4294967295ull);
+}
+
+TEST(CliTest, RejectsMalformedScalars)
+{
+    // strtoull reads each of these as 0 or as a truncated value.
+    for (const char* bad : {"x", "", "-1", "+5", "5x", " 5", "5 ", "1,2",
+                            "18446744073709551616"}) {
+        EXPECT_THROW(parseUint(bad, "--x"), FatalError) << "'" << bad << "'";
+    }
+    EXPECT_THROW(parseUint("4294967296", "--x", 4294967295ull),
+                 FatalError);
+}
+
 } // namespace
 } // namespace thynvm

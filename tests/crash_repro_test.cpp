@@ -58,6 +58,10 @@ TEST(CrashRepro, MalformedStringsAreRejected)
                             "delta=0:fp=on",
                             out));
     EXPECT_FALSE(parseRepro("garbage without any separators", out));
+    // A topology no System can build.
+    EXPECT_FALSE(parseRepro("seed=1:wl=rand:sys=thynvm:site=x:hit=1:"
+                            "delta=0:fp=on:ch=3",
+                            out));
 }
 
 /** Every kind's repro/CLI token parses back to that kind. */
@@ -288,10 +292,13 @@ TEST(CrashRepro, MultiChannelCampaignInvariantUnderSimThreadsEnv)
 
 /**
  * Campaign cases crash at the tick their combo's site enumeration
- * recorded for the planned hit, plus the delta; a bare repro learns
- * it from an armed profile run instead. Both must crash at the same
- * tick and reach the same verdict and images, for first and last hits
- * and for non-zero deltas, at 2 and 4 channels.
+ * recorded for the planned hit, plus the delta, on their combo's one
+ * walked life 1; a bare repro runs its own life 1 and learns the tick
+ * from an armed profile run (several channels) or by polling the
+ * armed registry (one channel). Both must crash at the same tick and
+ * reach the same verdict and images, for first and last hits and for
+ * deltas up to 250 us, which take cuts past the workload's end, at 1,
+ * 2 and 4 channels.
  */
 TEST(CrashRepro, PlanCutEqualsProfileCut)
 {
@@ -299,7 +306,7 @@ TEST(CrashRepro, PlanCutEqualsProfileCut)
     fc.total_accesses = 1500;
     CampaignOptions opts;
     opts.workloads = {"rand"};
-    opts.deltas = {0, 1000};
+    opts.deltas = {0, 1000, 250000000};
 
     struct Topology
     {
@@ -307,7 +314,8 @@ TEST(CrashRepro, PlanCutEqualsProfileCut)
         std::vector<SystemKind> systems;
     };
     for (const Topology& t :
-         {Topology{2, {SystemKind::ThyNvm, SystemKind::Icl}},
+         {Topology{1, {SystemKind::Shadow, SystemKind::Incremental}},
+          Topology{2, {SystemKind::ThyNvm, SystemKind::Icl}},
           Topology{4, {SystemKind::Journal}}}) {
         opts.channels = t.channels;
         opts.systems = t.systems;

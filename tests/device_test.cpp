@@ -12,6 +12,7 @@ namespace thynvm {
 namespace {
 
 using test::patternBlock;
+using test::sameBytes;
 
 DeviceParams
 smallNvm()
@@ -222,6 +223,33 @@ TEST(DeviceTest, CrashRollsBackChainInReverseOrder)
     EXPECT_EQ(out, (std::array<std::uint8_t, kBlockSize>{}));
 }
 
+TEST(DeviceTest, UndoReplayOntoCopyMatchesCrash)
+{
+    // The device owns the upper half of a root store, as a channel's
+    // slice does: the replay must land at the slice's root offset.
+    const std::size_t half = 1 << 20;
+    auto root = std::make_shared<BackingStore>(2 * half);
+    EventQueue eq;
+    MemDevice dev(eq, "dev", smallNvm(),
+                  std::make_shared<BackingStore>(root, half, half));
+
+    const auto write = [&](Addr addr, std::uint64_t tag) {
+        const auto data = patternBlock(tag);
+        ASSERT_TRUE(dev.enqueueWrite(addr, data.data(),
+                                     TrafficSource::CpuWriteback));
+    };
+    write(256, 1);
+    eq.run(); // durable
+    for (std::uint64_t tag = 2; tag < 12; ++tag)
+        write(256 + (tag % 3) * kBlockSize, tag);
+
+    const auto image = root->clone();
+    dev.replayUndoOnto(*image);
+    EXPECT_FALSE(sameBytes(*image, *root)) << "nothing was undone";
+    dev.crash();
+    EXPECT_TRUE(sameBytes(*image, *root));
+}
+
 TEST(DeviceTest, WritesDrainedNotification)
 {
     EventQueue eq;
@@ -284,6 +312,34 @@ TEST(PortTest, StagesBeyondDeviceCapacity)
     eq.runUntil([&] { return all_durable; });
     EXPECT_EQ(accepted, 64u);
     EXPECT_EQ(dev.totalWriteBytes(), 64 * kBlockSize);
+}
+
+TEST(PortTest, StagedWritesOntoCopyMatchQuiesce)
+{
+    const std::size_t half = 1 << 20;
+    auto root = std::make_shared<BackingStore>(2 * half);
+    EventQueue eq;
+    auto p = smallNvm();
+    p.write_queue_capacity = 4;
+    p.write_drain_high = 3;
+    p.write_drain_low = 1;
+    MemDevice dev(eq, "dev", p,
+                  std::make_shared<BackingStore>(root, half, half));
+    DevicePort port(dev);
+    for (unsigned i = 0; i < 16; ++i) {
+        const auto data = patternBlock(100 + i);
+        // Two writes per block: the newer staged one must win.
+        port.sendWrite((i % 8) * kBlockSize, data.data(),
+                       TrafficSource::CpuWriteback);
+    }
+    ASSERT_EQ(port.pendingWrites(), 12u);
+
+    const auto image = root->clone();
+    port.applyStagedOnto(*image);
+    EXPECT_FALSE(sameBytes(*image, *root)) << "nothing was staged";
+    port.quiesce();
+    dev.quiesce();
+    EXPECT_TRUE(sameBytes(*image, *root));
 }
 
 TEST(PortTest, FunctionalReadSeesStagedWrites)

@@ -122,12 +122,36 @@ TEST(FastPathEquivalenceTest, MultiBlockOps)
 }
 
 /**
+ * The last hit of every site of one (kind, workload, mode) combo, as
+ * one crash walk on a single life 1, keeping every case's images.
+ */
+fuzz::WalkResult
+walkLastHits(const fuzz::FuzzerConfig& fc, const fuzz::SiteMap& sites,
+             SystemKind kind, const std::string& workload, bool fast_path)
+{
+    std::vector<fuzz::FuzzCase> cases;
+    std::vector<Tick> cuts;
+    for (const auto& [site, stats] : sites) {
+        fuzz::FuzzCase c;
+        c.seed = 1;
+        c.workload = workload;
+        c.system = kind;
+        c.site = site;
+        c.hit = stats.hits; // last hit: deepest into the run
+        c.fast_path = fast_path;
+        cases.push_back(c);
+        cuts.push_back(stats.last_tick);
+    }
+    return fuzz::runCrashWalk(fc, cases, cuts, /*keep_images=*/true);
+}
+
+/**
  * Crash/recovery shapes: the equivalence contract must survive power
  * failure, not just clean runs. Crash plans are expressed as (site,
  * hit ordinal, tick delta) — simulated behavior, identical in both
- * modes — so the same plan run fast and slow must crash at the same
- * tick, restore the same op count, and yield byte-identical recovered
- * and final images.
+ * modes — so each mode's site enumeration must agree, and the same
+ * plan walked fast and slow must crash at the same tick, restore the
+ * same op count, and yield byte-identical recovered and final images.
  */
 void
 expectCrashEquivalent(SystemKind kind, const std::string& workload)
@@ -135,34 +159,39 @@ expectCrashEquivalent(SystemKind kind, const std::string& workload)
     const fuzz::FuzzerConfig fc;
     const std::uint64_t seed = 1;
 
-    const auto sites = fuzz::enumerateSites(fc, seed, workload, kind,
-                                            /*fast_path=*/true);
-    ASSERT_FALSE(sites.empty()) << systemKindName(kind);
+    const auto fast_sites = fuzz::enumerateSites(fc, seed, workload, kind,
+                                                 /*fast_path=*/true);
+    const auto slow_sites = fuzz::enumerateSites(fc, seed, workload, kind,
+                                                 /*fast_path=*/false);
+    ASSERT_FALSE(fast_sites.empty()) << systemKindName(kind);
+    ASSERT_EQ(fast_sites.size(), slow_sites.size());
+    for (const auto& [site, f] : fast_sites) {
+        const auto it = slow_sites.find(site);
+        ASSERT_NE(it, slow_sites.end()) << site;
+        EXPECT_EQ(f.hits, it->second.hits) << site;
+        EXPECT_EQ(f.first_tick, it->second.first_tick) << site;
+        EXPECT_EQ(f.last_tick, it->second.last_tick) << site;
+    }
 
-    for (const auto& [site, stats] : sites) {
-        fuzz::FuzzCase c;
-        c.seed = seed;
-        c.workload = workload;
-        c.system = kind;
-        c.site = site;
-        c.hit = stats.hits; // last hit: deepest into the run
-
-        c.fast_path = true;
-        const fuzz::CaseResult fast = fuzz::runCrashCase(fc, c);
-        c.fast_path = false;
-        const fuzz::CaseResult slow = fuzz::runCrashCase(fc, c);
-
-        ASSERT_EQ(fast.status, fuzz::CaseStatus::Ok)
-            << fast.repro << ": " << fast.detail;
-        ASSERT_EQ(slow.status, fuzz::CaseStatus::Ok)
-            << slow.repro << ": " << slow.detail;
-        EXPECT_EQ(fast.crash_tick, slow.crash_tick) << fast.repro;
-        EXPECT_EQ(fast.commits_before, slow.commits_before) << fast.repro;
-        EXPECT_EQ(fast.restored_ops, slow.restored_ops) << fast.repro;
-        EXPECT_TRUE(fast.recovered_image == slow.recovered_image)
-            << fast.repro << ": recovered images differ fast vs slow";
-        EXPECT_TRUE(fast.final_image == slow.final_image)
-            << fast.repro << ": final images differ fast vs slow";
+    const fuzz::WalkResult fast =
+        walkLastHits(fc, fast_sites, kind, workload, true);
+    const fuzz::WalkResult slow =
+        walkLastHits(fc, slow_sites, kind, workload, false);
+    ASSERT_EQ(fast.results.size(), slow.results.size());
+    for (std::size_t i = 0; i < fast.results.size(); ++i) {
+        const fuzz::CaseResult& f = fast.results[i];
+        const fuzz::CaseResult& s = slow.results[i];
+        ASSERT_EQ(f.status, fuzz::CaseStatus::Ok) << f.repro << ": "
+                                                  << f.detail;
+        ASSERT_EQ(s.status, fuzz::CaseStatus::Ok) << s.repro << ": "
+                                                  << s.detail;
+        EXPECT_EQ(f.crash_tick, s.crash_tick) << f.repro;
+        EXPECT_EQ(f.commits_before, s.commits_before) << f.repro;
+        EXPECT_EQ(f.restored_ops, s.restored_ops) << f.repro;
+        EXPECT_TRUE(f.recovered_image == s.recovered_image)
+            << f.repro << ": recovered images differ fast vs slow";
+        EXPECT_TRUE(f.final_image == s.final_image)
+            << f.repro << ": final images differ fast vs slow";
     }
 }
 

@@ -6,6 +6,7 @@
 #ifndef THYNVM_TESTS_TEST_UTIL_HH
 #define THYNVM_TESTS_TEST_UTIL_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +75,23 @@ loggedSeed(const char* name, std::uint64_t def)
     std::printf("[   seed   ] %s = %llu (override with THYNVM_TEST_SEED)\n",
                 name, static_cast<unsigned long long>(def));
     return def;
+}
+
+/** True when stores @p a and @p b hold the same bytes. */
+inline bool
+sameBytes(const BackingStore& a, const BackingStore& b)
+{
+    if (a.size() != b.size())
+        return false;
+    std::uint8_t x[kPageSize], y[kPageSize];
+    for (std::size_t off = 0; off < a.size(); off += kPageSize) {
+        const std::size_t len = std::min(kPageSize, a.size() - off);
+        a.read(off, x, len);
+        b.read(off, y, len);
+        if (std::memcmp(x, y, len) != 0)
+            return false;
+    }
+    return true;
 }
 
 /** Run the queue until it is idle (drained) or @p limit is reached. */

@@ -16,8 +16,9 @@
  * The THYNVM_FUZZ_ITERS environment variable scales the seed count for
  * nightly-sized sweeps (same as --seeds). --threads (default: the
  * THYNVM_SIM_THREADS environment variable, else 1) fans the campaign's
- * independent cases across host workers; the campaign result is
- * byte-identical for any thread count. --channels N (default: the
+ * independent (seed, workload, system, mode) combos, one crash walk
+ * each, across host workers; the campaign result is byte-identical
+ * for any thread count. --channels N (a power of two; default: the
  * THYNVM_CHANNELS environment variable, else 1) runs every simulated
  * System on an N-channel interleaved topology, which adds per-channel
  * (chK.*) and cross-channel barrier (group.*) crash sites to the plan.
@@ -25,6 +26,8 @@
  * count and the ticks of its first and last hit.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,36 +124,45 @@ main(int argc, char** argv)
     unsigned threads = std::max(1u, simThreadsFromEnv());
     unsigned channels = channelsFromEnv();
 
-    if (const char* env = std::getenv("THYNVM_FUZZ_ITERS"))
-        n_seeds = std::strtoull(env, nullptr, 10);
+    // Every scalar is parsed strictly: a bad value ends in fatal(),
+    // which prints the reason, and the usage exit below.
+    try {
+        if (const char* env = std::getenv("THYNVM_FUZZ_ITERS"))
+            n_seeds = parseUint(env, "THYNVM_FUZZ_ITERS");
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seeds" && i + 1 < argc) {
-            n_seeds = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--both-fastpath") {
-            opts.both_fast_path_modes = true;
-        } else if (arg == "--deltas" && i + 1 < argc) {
-            try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--seeds" && i + 1 < argc) {
+                n_seeds = parseUint(argv[++i], "--seeds");
+            } else if (arg == "--both-fastpath") {
+                opts.both_fast_path_modes = true;
+            } else if (arg == "--deltas" && i + 1 < argc) {
                 opts.deltas = parseUintList(argv[++i], "--deltas");
-            } catch (const FatalError&) {
-                return usage(argv[0]); // fatal() printed the reason
+            } else if (arg == "--threads" && i + 1 < argc) {
+                threads = static_cast<unsigned>(
+                    parseUint(argv[++i], "--threads", UINT_MAX));
+            } else if (arg == "--channels" && i + 1 < argc) {
+                channels = static_cast<unsigned>(
+                    parseUint(argv[++i], "--channels", UINT_MAX));
+            } else if (arg == "--inject-drop-btt" && i + 1 < argc) {
+                fc.debug_drop_btt_entry =
+                    parseUint(argv[++i], "--inject-drop-btt", SIZE_MAX);
+            } else if (arg == "--list-sites") {
+                list_sites = true;
+            } else if (arg == "--replay" && i + 1 < argc) {
+                replay_str = argv[++i];
+            } else {
+                return usage(argv[0]);
             }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--channels" && i + 1 < argc) {
-            channels = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--inject-drop-btt" && i + 1 < argc) {
-            fc.debug_drop_btt_entry = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--list-sites") {
-            list_sites = true;
-        } else if (arg == "--replay" && i + 1 < argc) {
-            replay_str = argv[++i];
-        } else {
-            return usage(argv[0]);
         }
+        // Checked here, before any System exists: a campaign worker
+        // cannot report the interleaver's own check cleanly.
+        fatal_if((channels & (channels - 1)) != 0,
+                 "--channels / THYNVM_CHANNELS: the channel count must "
+                 "be a power of two, got %u",
+                 channels);
+    } catch (const FatalError&) {
+        return usage(argv[0]);
     }
 
     if (channels <= 1)
